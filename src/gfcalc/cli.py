@@ -18,6 +18,7 @@ back losslessly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -212,9 +213,7 @@ def _oracle_residual(problem, solution: SampledFunction) -> float:
     s_nodes, values = grid.s_nodes, solution.values
 
     def y_at(x: float) -> float:
-        from .fracops import _s_from_x
-        return float(np.interp(float(_s_from_x(x, grid.a, grid.rho)),
-                               s_nodes, values))
+        return float(np.interp(float(grid.s_of(x)), s_nodes, values))
 
     def integrand(x: float) -> float:
         return float(problem.rhs.fn(np.array([x]), np.array([y_at(x)]), problem)[0])
@@ -239,9 +238,7 @@ def cmd_study(args) -> int:
     solutions = []
     reports = []
     for n in ns:
-        cfg = type(config)(n_nodes=n, tol=config.tol, max_iter=config.max_iter,
-                           lipschitz_L=config.lipschitz_L)
-        solution, report = solve_picard(problem, cfg)
+        solution, report = solve_picard(problem, dataclasses.replace(config, n_nodes=n))
         solutions.append(solution)
         reports.append(report)
 
@@ -307,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fractional integrals, derivatives, and initial value "
                     "problems with a power-law kernel scale parameter rho.",
     )
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="N",
-        help="worker threads for the quadrature (outputs are identical for "
-             "any value; summation order is fixed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve an initial value problem")
@@ -354,9 +347,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ProblemFileError, ValueError, OSError) as exc:

@@ -38,6 +38,7 @@ __all__ = [
     "gfi_reference",
     "gfd_riemann",
     "gfd_caputo",
+    "taylor_poly",
 ]
 
 
@@ -86,6 +87,10 @@ class Grid:
     @property
     def ds(self) -> float:
         return float(self.s_nodes[1] - self.s_nodes[0])
+
+    def s_of(self, x):
+        """The s coordinate (x**rho - a**rho)/rho of x >= a."""
+        return _s_from_x(x, self.a, self.rho)
 
     def same_layout(self, other: "Grid") -> bool:
         return (
@@ -211,17 +216,33 @@ class QuadratureWeights:
                                 int_0^{s_n} (s_n - sigma)**(alpha-1) g(sigma) dsigma
 
     with the piecewise-linear interpolant of g integrated exactly.
+
+    Off column 0, w[n][j] depends only on the cell distance n - j, so the
+    weights are stored in O(n) memory as two generators: ``first`` is column
+    0, and ``band`` holds n - 1 zeros followed by the weights at distance
+    0, 1, ..., n - 2, so that column j >= 1 is ``band[n-1-j : 2n-1-j]``.
     """
 
     alpha: float
     grid: Grid
-    w: np.ndarray
+    first: np.ndarray
+    band: np.ndarray
 
-    def __post_init__(self):
-        # contiguous transpose for the column sweep in apply()
-        wt = np.ascontiguousarray(self.w.T)
-        wt.setflags(write=False)
-        object.__setattr__(self, "_wt", wt)
+    def _band_columns(self) -> np.ndarray:
+        # row k is column k + 1 of w; windows of band, read-only views
+        n = self.grid.n_nodes
+        return np.lib.stride_tricks.sliding_window_view(self.band, n)[::-1]
+
+    @property
+    def w(self) -> np.ndarray:
+        """The dense n x n weight matrix, built on each access (O(n**2)
+        memory; the operators never need it)."""
+        n = self.grid.n_nodes
+        w = np.empty((n, n))
+        w[:, 0] = self.first
+        w[:, 1:] = self._band_columns().T
+        w.setflags(write=False)
+        return w
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Evaluate the quadrature at every node; node 0 is exactly 0.
@@ -236,11 +257,11 @@ class QuadratureWeights:
         n = self.grid.n_nodes
         if vals.shape != (n,):
             raise ValueError(f"values have shape {vals.shape}, expected ({n},)")
-        wt = self._wt
+        cols = self._band_columns()
         acc = np.zeros(n)
         comp = np.zeros(n)
         for j in range(n):
-            term = wt[j] * vals[j]
+            term = (cols[j - 1] if j else self.first) * vals[j]
             total = acc + term
             lost = np.where(np.abs(acc) >= np.abs(term),
                             (acc - total) + term,
@@ -265,18 +286,14 @@ def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
         raise ValueError(f"alpha = {alpha} too large: gamma overflow") from None
     # moments carry the extra alpha, so the prefactor divides by Gamma(alpha+1)
     pref = np.power(np.longdouble(ds), np.longdouble(alpha)) / np.longdouble(gam)
-    w = np.zeros((n, n))
-    if n >= 2:
-        diag = float(pref * q[1])
-        interior = (pref * (p[1:-1] + q[2:])).astype(float)  # cell distance m at m-1
-        first = (pref * p).astype(float)
-        for row in range(1, n):
-            w[row, 0] = first[row]
-            if row >= 2:
-                w[row, 1:row] = interior[row - 2::-1]
-            w[row, row] = diag
-    w.setflags(write=False)
-    return QuadratureWeights(alpha=float(alpha), grid=grid, w=w)
+    first = (pref * p).astype(float)
+    # each weight rounds once to double; band[n - 1 + m] is cell distance m
+    band = np.zeros(2 * n - 2)
+    band[n - 1] = pref * q[1]
+    band[n:] = pref * (p[1:-1] + q[2:])
+    first.setflags(write=False)
+    band.setflags(write=False)
+    return QuadratureWeights(alpha=float(alpha), grid=grid, first=first, band=band)
 
 
 def _check_weights(weights: QuadratureWeights, grid: Grid, alpha: float) -> None:
@@ -349,13 +366,19 @@ def gfd_caputo(f: SampledFunction, alpha: float, init) -> SampledFunction:
         raise ValueError(
             f"init must have ceil(alpha) = {norder} entries, got {len(init)}"
         )
-    t = f.grid.x_nodes - f.grid.a
-    poly = np.zeros_like(t)
-    term = np.ones_like(t)
-    for k, ck in enumerate(init):
-        poly = poly + ck * term
-        term = term * t / (k + 1.0)
+    poly = taylor_poly(init, f.grid.x_nodes - f.grid.a)
     return gfd_riemann(SampledFunction(f.grid, f.values - poly), alpha)
+
+
+def taylor_poly(y0, x):
+    """T(x) = sum_k y0[k] x**k / k!, the polynomial carrying the initial data."""
+    x = np.asarray(x, dtype=float)
+    acc = np.zeros_like(x)
+    term = np.ones_like(x)
+    for k, ck in enumerate(y0):
+        acc = acc + ck * term
+        term = term * x / (k + 1.0)
+    return acc if acc.ndim else float(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ from .fracops import (
     Grid,
     QuadratureWeights,
     SampledFunction,
+    _check_weights,
     build_weights,
     make_grid,
+    taylor_poly,
 )
 from .specialfn import gamma_ln, mittag_leffler
 
@@ -282,17 +284,6 @@ class SolverReport:
     converged: bool
 
 
-def taylor_poly(y0, x):
-    """T(x) = sum_k y0[k] x**k / k!, the polynomial carrying the initial data."""
-    x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k, ck in enumerate(y0):
-        acc = acc + ck * term
-        term = term * x / (k + 1.0)
-    return acc if acc.ndim else float(acc)
-
-
 def estimate_M(problem: IVProblem, sample_density: int = 64) -> float:
     """max |f| over a sample_density x sample_density lattice of the box
     G = [0, h_star] x {|y - T(x)| <= K}.  A lattice maximum is a lower
@@ -348,17 +339,17 @@ def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _check_ivp_grid(grid: Grid, problem: IVProblem,
+                    weights: QuadratureWeights) -> None:
+    _check_weights(weights, grid, problem.alpha)
+    if grid.a != 0.0:
+        raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
+
+
 def picard_apply(y: SampledFunction, problem: IVProblem,
                  weights: QuadratureWeights) -> SampledFunction:
     """One application of the integral operator: T + I^alpha f(., y)."""
-    if weights.alpha != problem.alpha:
-        raise ValueError(
-            f"weights are for alpha={weights.alpha}, problem has alpha={problem.alpha}"
-        )
-    if not weights.grid.same_layout(y.grid):
-        raise ValueError("weights were built for a different grid")
-    if y.grid.a != 0.0:
-        raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
+    _check_ivp_grid(y.grid, problem, weights)
     x = y.grid.x_nodes
     t = taylor_poly(problem.y0, x)
     _check_in_box(y.values, t, problem.K, "iterate")
@@ -402,8 +393,7 @@ def solve_picard(problem: IVProblem, config: SolverConfig,
         if delta <= config.tol:
             converged = True
             break
-    residual = float(np.max(np.abs(
-        y - t - weights.apply(_eval_rhs(problem, grid.x_nodes, y)))))
+    solution = SampledFunction(grid, y)
     report = SolverReport(
         h_used=box.h,
         M=box.M,
@@ -411,10 +401,9 @@ def solve_picard(problem: IVProblem, config: SolverConfig,
         deltas=np.array(deltas),
         omega_bounds=_omega_array(config.lipschitz_L, len(deltas), box.h,
                                   problem.alpha, problem.rho),
-        residual=residual,
+        residual=volterra_residual(solution, problem, weights),
         converged=converged,
     )
-    solution = SampledFunction(grid, y)
     if not converged:
         raise NonConvergenceError(
             f"no convergence within max_iter = {config.max_iter} "
@@ -536,11 +525,7 @@ def volterra_residual(y: SampledFunction, problem: IVProblem,
     """
     if weights is None:
         weights = build_weights(y.grid, problem.alpha)
-    else:
-        if weights.alpha != problem.alpha or not weights.grid.same_layout(y.grid):
-            raise ValueError("weights do not match the solution grid/order")
-    if y.grid.a != 0.0:
-        raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
+    _check_ivp_grid(y.grid, problem, weights)
     x = y.grid.x_nodes
     t = taylor_poly(problem.y0, x)
     fvals = _eval_rhs(problem, x, y.values)

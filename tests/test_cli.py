@@ -159,21 +159,6 @@ def test_solve_bad_problem_file(tmp_path, capsys):
     assert "problem.alpha" in err
 
 
-def test_threads_flag_does_not_change_output(tmp_path, capsys):
-    prob = write(tmp_path / "lin.prob", LIN_PROB)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    _, out1, _ = run(capsys, ["solve", prob, "-o", str(a)])
-    _, out2, _ = run(capsys, ["--threads", "4", "solve", prob, "-o", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-    assert out1 == out2
-
-
-def test_threads_must_be_positive(capsys):
-    code, _, err = run(capsys, ["--threads", "0", "ml", "1", "1"])
-    assert code == 1
-    assert "--threads" in err
-
-
 # ---------------------------------------------------------------------------
 # operator
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ The mpmath comparisons build the classical product-trapezoid weights from
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -133,3 +134,59 @@ def test_build_weights_rejects_bad_alpha():
     for alpha in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             build_weights(grid, alpha)
+
+
+def test_build_weights_memory_is_linear():
+    # the dense n x n table at n = 4097 would take about 134 MB
+    grid = make_grid(0.0, 1.0, 1.0, 4097)
+    tracemalloc.start()
+    try:
+        build_weights(grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def dense_neumaier_apply(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Reference: column-by-column Neumaier sweep over the dense matrix."""
+    n = vals.shape[0]
+    acc = np.zeros(n)
+    comp = np.zeros(n)
+    for j in range(n):
+        term = w[:, j] * vals[j]
+        total = acc + term
+        for i in range(n):
+            if abs(acc[i]) >= abs(term[i]):
+                comp[i] += (acc[i] - total[i]) + term[i]
+            else:
+                comp[i] += (term[i] - total[i]) + acc[i]
+        acc = total
+    out = acc + comp
+    out[0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("alpha,rho,n", [
+    (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
+    (0.25, 2.0, 1025),
+])
+def test_apply_matches_dense_compensated_sweep(alpha, rho, n):
+    grid = make_grid(0.0, 1.4, rho, n)
+    w = build_weights(grid, alpha)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n))
+    want = dense_neumaier_apply(w.w, vals)
+    assert np.array_equal(w.apply(vals), want)
+
+
+@pytest.mark.parametrize("alpha,n", [(0.4, 2), (0.4, 3), (0.8, 17), (1.7, 64)])
+def test_dense_weights_toeplitz_off_first_column(alpha, n):
+    w = build_weights(make_grid(0.0, 1.0, 1.0, n), alpha).w
+    assert w.shape == (n, n)
+    assert np.all(w[np.triu_indices(n, k=1)] == 0.0)
+    assert np.all(w[0] == 0.0)
+    for d in range(n - 1):
+        # entry 0 of each sub-diagonal lies in column 0
+        diagonal = np.diagonal(w, offset=-d)[1:]
+        assert np.all(diagonal == diagonal[0])
