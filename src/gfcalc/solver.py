@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,6 +91,65 @@ class MarchingError(RuntimeError):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
+def _linear_exact(p: dict, problem: "IVProblem"):
+    if len(problem.y0) != 1:
+        return None
+    alpha, rho, lam, y00 = problem.alpha, problem.rho, p["lambda"], problem.y0[0]
+
+    def ref(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        z = lam * np.power(np.power(x, rho) / rho, alpha)
+        return y00 * np.array([mittag_leffler(alpha, zi) for zi in z])
+
+    return ref
+
+
+def _power_forcing_fn(p: dict, x, y, problem: "IVProblem"):
+    beta, c, alpha, rho = p["beta"], p["c"], problem.alpha, problem.rho
+    scale = c * math.exp(gamma_ln(beta + 1.0) - gamma_ln(beta + 1.0 - alpha))
+    return scale * np.power(np.power(x, rho) / rho, beta - alpha) + 0.0 * y
+
+
+def _power_forcing_exact(p: dict, problem: "IVProblem"):
+    beta, c, rho = p["beta"], p["c"], problem.rho
+
+    def ref(x):
+        x = np.asarray(x, dtype=float)
+        return taylor_poly(problem.y0, x) + c * np.power(np.power(x, rho) / rho, beta)
+
+    return ref
+
+
+def _logistic_lipschitz(p: dict, problem: "IVProblem") -> float:
+    t = taylor_poly(problem.y0, np.linspace(0.0, problem.h_star, 65))
+    lo = float(np.min(t)) - problem.K
+    hi = float(np.max(t)) + problem.K
+    return abs(p["lambda"]) * max(abs(1.0 - 2.0 * lo), abs(1.0 - 2.0 * hi))
+
+
+class _Rhs(NamedTuple):
+    params: dict                      # defaults (None: required); passed on as p
+    fn: Callable                      # (p, x, y, problem) -> f(x, y)
+    lipschitz: Callable               # (p, problem) -> Lipschitz bound in y
+    exact: Callable = lambda p, problem: None   # (p, problem) -> reference or None
+
+
+_RHS: dict[str, _Rhs] = {
+    "zero": _Rhs({}, lambda p, x, y, problem: np.zeros(np.broadcast(x, y).shape),
+                 lambda p, problem: 0.0,
+                 lambda p, problem: lambda x: taylor_poly(problem.y0, x)),
+    "linear": _Rhs({"lambda": None}, lambda p, x, y, problem: p["lambda"] * y,
+                   lambda p, problem: abs(p["lambda"]), _linear_exact),
+    "power_forcing": _Rhs({"beta": None, "c": 1.0}, _power_forcing_fn,
+                          lambda p, problem: 0.0, _power_forcing_exact),
+    "sin": _Rhs({"c": 1.0}, lambda p, x, y, problem: p["c"] * np.sin(y),
+                lambda p, problem: abs(p["c"])),
+    "logistic": _Rhs({"lambda": None},
+                     lambda p, x, y, problem: p["lambda"] * y * (1.0 - y),
+                     _logistic_lipschitz),
+}
+
+
 @dataclass(frozen=True)
 class RightHandSide:
     """A registered f(x, y) with optional Lipschitz bound and reference solution.
@@ -97,112 +157,49 @@ class RightHandSide:
     ``fn(x, y, problem)`` is vectorized over x and y.  ``lipschitz(problem)``
     returns a bound for |f(x, y1) - f(x, y2)| / |y1 - y2| valid on the
     existence box, or None.  ``exact(problem)`` returns a callable reference
-    solution of the Volterra equation, or None when unavailable.
+    solution of the Volterra equation, or None when unavailable.  All three
+    read the ``_RHS`` entry, which ``params`` is checked against here.
     """
 
     name: str
     params: tuple
 
     def __post_init__(self):
-        _rhs_param_check(self.name, dict(self.params))
-
-    def _p(self, key: str) -> float:
-        return dict(self.params)[key]
+        params = dict(self.params)
+        if self.name not in _RHS:
+            raise ValueError(f"unknown rhs {self.name!r}; known: {', '.join(rhs_names())}")
+        schema = _RHS[self.name].params
+        for key in params:
+            if key not in schema:
+                raise ValueError(f"rhs {self.name!r} does not take parameter {key!r}")
+        for key, default in schema.items():
+            if key not in params and default is None:
+                raise ValueError(f"rhs {self.name!r} requires parameter {key!r}")
+        for key, val in params.items():
+            if not (isinstance(val, (int, float)) and math.isfinite(val)):
+                raise ValueError(f"rhs parameter {key!r} must be a finite number, got {val!r}")
+        object.__setattr__(self, "params", tuple(sorted(params.items())))
 
     def fn(self, x, y, problem: "IVProblem"):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.name == "zero":
-            return np.zeros(np.broadcast(x, y).shape)
-        if self.name == "linear":
-            return self._p("lambda") * y
-        if self.name == "power_forcing":
-            beta, c = self._p("beta"), self._p("c")
-            alpha, rho = problem.alpha, problem.rho
-            scale = c * math.exp(gamma_ln(beta + 1.0) - gamma_ln(beta + 1.0 - alpha))
-            return scale * np.power(np.power(x, rho) / rho, beta - alpha) \
-                + 0.0 * y
-        if self.name == "sin":
-            return self._p("c") * np.sin(y)
-        if self.name == "logistic":
-            return self._p("lambda") * y * (1.0 - y)
-        raise AssertionError(self.name)
+        return _RHS[self.name].fn(dict(self.params), np.asarray(x, dtype=float),
+                                  np.asarray(y, dtype=float), problem)
 
     def lipschitz(self, problem: "IVProblem") -> float | None:
-        if self.name == "zero" or self.name == "power_forcing":
-            return 0.0
-        if self.name == "linear":
-            return abs(self._p("lambda"))
-        if self.name == "sin":
-            return abs(self._p("c"))
-        if self.name == "logistic":
-            xs = np.linspace(0.0, problem.h_star, 65)
-            t = taylor_poly(problem.y0, xs)
-            lo = float(np.min(t)) - problem.K
-            hi = float(np.max(t)) + problem.K
-            return abs(self._p("lambda")) * max(abs(1.0 - 2.0 * lo), abs(1.0 - 2.0 * hi))
-        raise AssertionError(self.name)
+        return _RHS[self.name].lipschitz(dict(self.params), problem)
 
     def exact(self, problem: "IVProblem"):
-        alpha, rho = problem.alpha, problem.rho
-        if self.name == "zero":
-            return lambda x: taylor_poly(problem.y0, x)
-        if self.name == "linear":
-            if len(problem.y0) != 1:
-                return None
-            lam, y00 = self._p("lambda"), problem.y0[0]
-
-            def ref(x):
-                x = np.atleast_1d(np.asarray(x, dtype=float))
-                z = lam * np.power(np.power(x, rho) / rho, alpha)
-                return y00 * np.array([mittag_leffler(alpha, zi) for zi in z])
-
-            return ref
-        if self.name == "power_forcing":
-            beta, c = self._p("beta"), self._p("c")
-
-            def ref(x):
-                x = np.asarray(x, dtype=float)
-                return taylor_poly(problem.y0, x) + c * np.power(np.power(x, rho) / rho, beta)
-
-            return ref
-        return None
-
-
-_RHS_PARAMS: dict[str, dict[str, float | None]] = {
-    "zero": {},
-    "linear": {"lambda": None},
-    "power_forcing": {"beta": None, "c": 1.0},
-    "sin": {"c": 1.0},
-    "logistic": {"lambda": None},
-}
+        return _RHS[self.name].exact(dict(self.params), problem)
 
 
 def rhs_names() -> list[str]:
-    return sorted(_RHS_PARAMS)
-
-
-def _rhs_param_check(name: str, params: dict) -> None:
-    if name not in _RHS_PARAMS:
-        raise ValueError(f"unknown rhs {name!r}; known: {', '.join(rhs_names())}")
-    schema = _RHS_PARAMS[name]
-    for key in params:
-        if key not in schema:
-            raise ValueError(f"rhs {name!r} does not take parameter {key!r}")
-    for key, default in schema.items():
-        if key not in params and default is None:
-            raise ValueError(f"rhs {name!r} requires parameter {key!r}")
-    for key, val in params.items():
-        if not (isinstance(val, (int, float)) and math.isfinite(val)):
-            raise ValueError(f"rhs parameter {key!r} must be a finite number, got {val!r}")
+    return sorted(_RHS)
 
 
 def make_rhs(name: str, params: dict | None = None) -> RightHandSide:
     """Look up a right-hand side by name; ``params`` fills its parameters."""
-    params = dict(params or {})
-    _rhs_param_check(name, params)
-    full = {**{k: v for k, v in _RHS_PARAMS[name].items() if v is not None}, **params}
-    return RightHandSide(name=name, params=tuple(sorted(full.items())))
+    defaults = _RHS[name].params if name in _RHS else {}
+    full = {**{k: v for k, v in defaults.items() if v is not None}, **dict(params or {})}
+    return RightHandSide(name=name, params=tuple(full.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +247,6 @@ class ExistenceBox:
     problem: IVProblem
     M: float
     h: float
-    sample_density: int
 
 
 @dataclass(frozen=True)
@@ -314,10 +310,9 @@ def step_h(problem: IVProblem, M: float) -> float:
     return min(problem.h_star, cap)
 
 
-def existence_box(problem: IVProblem, sample_density: int = 64) -> ExistenceBox:
-    M = estimate_M(problem, sample_density)
-    return ExistenceBox(problem=problem, M=M, h=step_h(problem, M),
-                        sample_density=sample_density)
+def existence_box(problem: IVProblem) -> ExistenceBox:
+    M = estimate_M(problem)
+    return ExistenceBox(problem=problem, M=M, h=step_h(problem, M))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +352,8 @@ def picard_apply(y: SampledFunction, problem: IVProblem,
     return SampledFunction(y.grid, t + weights.apply(fvals))
 
 
-def _solver_setup(problem: IVProblem, config: SolverConfig, sample_density: int):
-    box = existence_box(problem, sample_density)
+def _solver_setup(problem: IVProblem, config: SolverConfig):
+    box = existence_box(problem)
     grid = make_grid(0.0, box.h, problem.rho, config.n_nodes)
     weights = build_weights(grid, problem.alpha)
     t = taylor_poly(problem.y0, grid.x_nodes)
@@ -373,13 +368,12 @@ def _omega_array(L: float | None, count: int, h: float, alpha: float,
                      for j in range(1, count + 1)])
 
 
-def solve_picard(problem: IVProblem, config: SolverConfig,
-                 sample_density: int = 64):
+def solve_picard(problem: IVProblem, config: SolverConfig):
     """Iterate y <- T + I^alpha f(., y) from y = T until the sup-norm update
     falls below tol.  Returns (solution, report); raises NonConvergenceError
     carrying both if max_iter is exhausted.
     """
-    box, grid, weights, t = _solver_setup(problem, config, sample_density)
+    box, grid, weights, t = _solver_setup(problem, config)
     y = t.copy()
     deltas = []
     converged = False
@@ -441,26 +435,31 @@ def _march_node(b: float, w_nn: float, f_scalar, u0: float, tol: float,
         "iterations", node)
 
 
-def solve_marching(problem: IVProblem, config: SolverConfig,
-                   sample_density: int = 64) -> SampledFunction:
+def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
     """Independent node-by-node solve of the same discrete Volterra system."""
-    box, grid, weights, t = _solver_setup(problem, config, sample_density)
+    box, grid, weights, t = _solver_setup(problem, config)
     n = grid.n_nodes
     x = grid.x_nodes
     y = np.empty(n)
     fv = np.empty(n)
     y[0] = t[0]
     fv[0] = float(_eval_rhs(problem, x[:1], y[:1])[0])
-    w = weights.w
+    # row i of the weights is first[i], then rev[n-1-i : n-1] in columns
+    # 1..i; copied into one contiguous buffer so np.dot sums as on a dense row
+    rev = weights.band[::-1]
+    w_nn = float(weights.band[n - 1])             # distance 0: the diagonal
+    row = np.empty(n)
     for i in range(1, n):
-        b = t[i] + float(np.dot(w[i, :i], fv[:i]))
+        row[0] = weights.first[i]
+        row[1:i] = rev[n - 1 - i:n - 2]
+        b = t[i] + float(np.dot(row[:i], fv[:i]))
         xi = x[i]
 
         def f_scalar(u: float, _xi=xi) -> float:
             return float(_eval_rhs(problem, np.array([_xi]), np.array([u]))[0])
 
         tol_i = max(1e-15, 1e-4 * config.tol) * max(1.0, abs(b))
-        y[i] = _march_node(b, float(w[i, i]), f_scalar, y[i - 1], tol_i, i)
+        y[i] = _march_node(b, w_nn, f_scalar, y[i - 1], tol_i, i)
         fv[i] = f_scalar(y[i])
     _check_in_box(y, t, problem.K, "marching solution")
     return SampledFunction(grid, y)

@@ -2,6 +2,7 @@
 marching solvers, contraction and modulus-of-continuity bounds, residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gfcalc.solver import (
     DomainExitError,
     IVProblem,
     NonConvergenceError,
+    RightHandSide,
     SolverConfig,
     contraction_bound,
     estimate_M,
@@ -179,6 +181,34 @@ def test_make_rhs_errors():
         make_rhs("linear", {"lambda": math.inf})
     with pytest.raises(ValueError):
         make_rhs("zero", {"lambda": 1.0})
+    # the constructor is where validation happens, so it refuses the same
+    with pytest.raises(ValueError, match="unknown rhs 'cubic'"):
+        RightHandSide(name="cubic", params=())
+    with pytest.raises(ValueError, match="requires parameter 'lambda'"):
+        RightHandSide(name="linear", params=())
+    with pytest.raises(ValueError, match="does not take parameter 'mu'"):
+        RightHandSide(name="linear", params=(("lambda", 1.0), ("mu", 2.0)))
+    with pytest.raises(ValueError, match="must be a finite number"):
+        RightHandSide(name="sin", params=(("c", math.nan),))
+
+
+def test_rhs_lipschitz_hand_values():
+    p = problem(name="zero", params={})
+    assert p.rhs.lipschitz(p) == 0.0
+    p = problem(name="power_forcing", params={"beta": 1.5, "c": 2.0})
+    assert p.rhs.lipschitz(p) == 0.0
+    p = problem(name="linear", params={"lambda": -1.25})
+    assert p.rhs.lipschitz(p) == 1.25
+    p = problem(name="sin", params={})
+    assert p.rhs.lipschitz(p) == 1.0
+    p = problem(name="sin", params={"c": -1.5})
+    assert p.rhs.lipschitz(p) == 1.5
+    # m = 1: T is constant, so the y-range is exactly [y0 - K, y0 + K] and
+    # |lambda| max |1 - 2y| over it is attained at an end
+    p = problem(y0=(0.25,), name="logistic", params={"lambda": 0.75}, K=1.0)
+    assert p.rhs.lipschitz(p) == 0.75 * 2.5          # low end, y = -0.75
+    p = problem(y0=(1.0,), name="logistic", params={"lambda": -0.75}, K=0.5)
+    assert p.rhs.lipschitz(p) == 0.75 * 2.0          # high end, y = 1.5
 
 
 def test_rhs_exact_availability():
@@ -460,6 +490,19 @@ def test_marching_exponential():
         errs.append(float(np.max(np.abs(sol.values - np.exp(sol.grid.x_nodes)))))
     assert errs[0] <= 2.2e-7
     assert errs[1] <= errs[0] / 3.5
+
+
+def test_marching_weight_memory_is_linear():
+    # marching reads the weights' two generators, never the dense n x n
+    # matrix (33.6 MB at n = 2049)
+    p = problem()
+    tracemalloc.start()
+    try:
+        solve_marching(p, SolverConfig(n_nodes=2049, tol=1e-12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
