@@ -219,8 +219,8 @@ class QuadratureWeights:
 
     Off column 0, w[n][j] depends only on the cell distance n - j, so the
     weights are stored in O(n) memory as two generators: ``first`` is column
-    0, and ``band`` holds n - 1 zeros followed by the weights at distance
-    0, 1, ..., n - 2, so that column j >= 1 is ``band[n-1-j : 2n-1-j]``.
+    0, and ``band[d]`` is the weight at distance d = 0, 1, ..., n - 2, so that
+    column j >= 1 is ``band[:n-j]`` in rows j..n-1.
     """
 
     alpha: float
@@ -228,19 +228,18 @@ class QuadratureWeights:
     first: np.ndarray
     band: np.ndarray
 
-    def _band_columns(self) -> np.ndarray:
-        # row k is column k + 1 of w; windows of band, read-only views
-        n = self.grid.n_nodes
-        return np.lib.stride_tricks.sliding_window_view(self.band, n)[::-1]
+    def row(self, i: int) -> np.ndarray:
+        """Row i, columns 0..i, as a new contiguous array."""
+        return np.concatenate((self.first[i:i + 1], self.band[:i][::-1]))
 
     @property
     def w(self) -> np.ndarray:
         """The dense n x n weight matrix, built on each access (O(n**2)
         memory; the operators never need it)."""
         n = self.grid.n_nodes
-        w = np.empty((n, n))
-        w[:, 0] = self.first
-        w[:, 1:] = self._band_columns().T
+        w = np.zeros((n, n))
+        for i in range(n):
+            w[i, :i + 1] = self.row(i)
         w.setflags(write=False)
         return w
 
@@ -248,26 +247,26 @@ class QuadratureWeights:
         """Evaluate the quadrature at every node; node 0 is exactly 0.
 
         All rows are accumulated together, one column at a time in index
-        order, with Neumaier compensation.  The order is fixed and serial
-        arithmetic only, so results never depend on thread count, and the
-        compensation keeps each node's sum within ~1 ulp of the rounded
-        weights' exact sum regardless of grid length.
+        order, with Neumaier compensation; column j updates only rows j..n-1,
+        the lower triangle.  The order is fixed and serial arithmetic only,
+        so results never depend on thread count, and the compensation keeps
+        each node's sum within ~1 ulp of the rounded weights' exact sum
+        regardless of grid length.
         """
         vals = np.asarray(values, dtype=float)
         n = self.grid.n_nodes
         if vals.shape != (n,):
             raise ValueError(f"values have shape {vals.shape}, expected ({n},)")
-        cols = self._band_columns()
         acc = np.zeros(n)
         comp = np.zeros(n)
         for j in range(n):
-            term = (cols[j - 1] if j else self.first) * vals[j]
-            total = acc + term
-            lost = np.where(np.abs(acc) >= np.abs(term),
-                            (acc - total) + term,
-                            (term - total) + acc)
-            comp += lost
-            acc = total
+            term = (self.band[:n - j] if j else self.first) * vals[j]
+            a = acc[j:]
+            total = a + term
+            comp[j:] += np.where(np.abs(a) >= np.abs(term),
+                                 (a - total) + term,
+                                 (term - total) + a)
+            acc[j:] = total
         out = acc + comp
         out[0] = 0.0
         return out
@@ -287,10 +286,10 @@ def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
     # moments carry the extra alpha, so the prefactor divides by Gamma(alpha+1)
     pref = np.power(np.longdouble(ds), np.longdouble(alpha)) / np.longdouble(gam)
     first = (pref * p).astype(float)
-    # each weight rounds once to double; band[n - 1 + m] is cell distance m
-    band = np.zeros(2 * n - 2)
-    band[n - 1] = pref * q[1]
-    band[n:] = pref * (p[1:-1] + q[2:])
+    # each weight rounds once to double; band[d] is cell distance d
+    band = np.empty(n - 1)
+    band[0] = pref * q[1]
+    band[1:] = pref * (p[1:-1] + q[2:])
     first.setflags(write=False)
     band.setflags(write=False)
     return QuadratureWeights(alpha=float(alpha), grid=grid, first=first, band=band)

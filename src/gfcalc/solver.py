@@ -444,14 +444,8 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
     fv = np.empty(n)
     y[0] = t[0]
     fv[0] = float(_eval_rhs(problem, x[:1], y[:1])[0])
-    # row i of the weights is first[i], then rev[n-1-i : n-1] in columns
-    # 1..i; copied into one contiguous buffer so np.dot sums as on a dense row
-    rev = weights.band[::-1]
-    w_nn = float(weights.band[n - 1])             # distance 0: the diagonal
-    row = np.empty(n)
     for i in range(1, n):
-        row[0] = weights.first[i]
-        row[1:i] = rev[n - 1 - i:n - 2]
+        row = weights.row(i)
         b = t[i] + float(np.dot(row[:i], fv[:i]))
         xi = x[i]
 
@@ -459,7 +453,7 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
             return float(_eval_rhs(problem, np.array([_xi]), np.array([u]))[0])
 
         tol_i = max(1e-15, 1e-4 * config.tol) * max(1.0, abs(b))
-        y[i] = _march_node(b, w_nn, f_scalar, y[i - 1], tol_i, i)
+        y[i] = _march_node(b, float(row[i]), f_scalar, y[i - 1], tol_i, i)
         fv[i] = f_scalar(y[i])
     _check_in_box(y, t, problem.K, "marching solution")
     return SampledFunction(grid, y)

@@ -172,12 +172,21 @@ def dense_neumaier_apply(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
     (0.25, 2.0, 1025),
 ])
 def test_apply_matches_dense_compensated_sweep(alpha, rho, n):
+    # apply skips the zeros above the diagonal; bytes, not values, are
+    # compared so that a -0/+0 flip in the leading rows fails too
     grid = make_grid(0.0, 1.4, rho, n)
     w = build_weights(grid, alpha)
+    dense = w.w
     rng = np.random.default_rng(n)
-    vals = rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n))
-    want = dense_neumaier_apply(w.w, vals)
-    assert np.array_equal(w.apply(vals), want)
+    random = rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n))
+    # -0 on the leading nodes, then positive values with exact zeros among them
+    signed_zeros = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.5, 2.0, n))
+    signed_zeros[:(n + 1) // 2] = -0.0
+    inputs = {"random": random, "signed zeros": signed_zeros}
+    for kind, vals in inputs.items():
+        got = w.apply(vals)
+        want = dense_neumaier_apply(dense, vals)
+        assert got.tobytes() == want.tobytes(), kind
 
 
 @pytest.mark.parametrize("alpha,n", [(0.4, 2), (0.4, 3), (0.8, 17), (1.7, 64)])
