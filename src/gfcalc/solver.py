@@ -61,8 +61,6 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-9       # relative slack on |y - T| <= K before flagging exit
-_MARCH_DAMPING = 0.5
-_MARCH_SECANT_AFTER = 25
 _MARCH_ITER_CAP = 100
 
 
@@ -408,26 +406,20 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
 
 def _march_node(b: float, w_nn: float, f_scalar, u0: float, tol: float,
                 node: int) -> float:
-    """Solve u = b + w_nn f(u): damped fixed point, then secant fallback."""
-
-    def step(u: float) -> float:
-        return b + w_nn * f_scalar(u)
-
+    """Solve u = b + w_nn f(u): one plain fixed-point step, then the secant
+    method on the residual, with a plain step whenever the residual repeats."""
     u = u0
     res_prev = None
     u_prev = None
-    for it in range(_MARCH_ITER_CAP):
-        phi = step(u)
+    for _ in range(_MARCH_ITER_CAP):
+        phi = b + w_nn * f_scalar(u)
         res = phi - u
         if abs(res) <= tol:
             return phi
-        if it < _MARCH_SECANT_AFTER:
-            u_new = u + _MARCH_DAMPING * res
+        if res_prev is None or res == res_prev:
+            u_new = phi
         else:
-            if res_prev is None or res == res_prev:
-                u_new = u + _MARCH_DAMPING * res
-            else:
-                u_new = u - res * (u - u_prev) / (res - res_prev)
+            u_new = u - res * (u - u_prev) / (res - res_prev)
         u_prev, res_prev = u, res
         u = u_new
     raise MarchingError(

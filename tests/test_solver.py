@@ -492,6 +492,23 @@ def test_marching_exponential():
     assert errs[1] <= errs[0] / 3.5
 
 
+@pytest.mark.parametrize("name,params", [("linear", {"lambda": -1.0}), ("sin", {})])
+def test_marching_rhs_calls_per_node(monkeypatch, name, params):
+    # one call per node is the floor: the node solve needs f at the new value
+    calls = 0
+    fn = RightHandSide.fn
+
+    def counted(self, x, y, problem):
+        nonlocal calls
+        calls += 1
+        return fn(self, x, y, problem)
+
+    monkeypatch.setattr(RightHandSide, "fn", counted)
+    n = 1025
+    solve_marching(problem(name=name, params=params), SolverConfig(n_nodes=n, tol=1e-12))
+    assert calls <= 8 * (n - 1)
+
+
 def test_marching_weight_memory_is_linear():
     # marching reads the weights' two generators, never the dense n x n
     # matrix (33.6 MB at n = 2049)
