@@ -230,6 +230,8 @@ class QuadratureWeights:
 
     def row(self, i: int) -> np.ndarray:
         """Row i, columns 0..i, as a new contiguous array."""
+        if not 0 <= i < self.grid.n_nodes:
+            raise IndexError(f"row {i} out of range for {self.grid.n_nodes} nodes")
         return np.concatenate((self.first[i:i + 1], self.band[:i][::-1]))
 
     @property

@@ -494,7 +494,7 @@ def test_marching_exponential():
 
 @pytest.mark.parametrize("name,params", [("linear", {"lambda": -1.0}), ("sin", {})])
 def test_marching_rhs_calls_per_node(monkeypatch, name, params):
-    # one call per node is the floor: the node solve needs f at the new value
+    # each node takes one rhs call per solve step plus one at the solved value
     calls = 0
     fn = RightHandSide.fn
 

@@ -191,7 +191,11 @@ def test_apply_matches_dense_compensated_sweep(alpha, rho, n):
 
 @pytest.mark.parametrize("alpha,n", [(0.4, 2), (0.4, 3), (0.8, 17), (1.7, 64)])
 def test_dense_weights_toeplitz_off_first_column(alpha, n):
-    w = build_weights(make_grid(0.0, 1.0, 1.0, n), alpha).w
+    weights = build_weights(make_grid(0.0, 1.0, 1.0, n), alpha)
+    for i in (-1, n):
+        with pytest.raises(IndexError):
+            weights.row(i)
+    w = weights.w
     assert w.shape == (n, n)
     assert np.all(w[np.triu_indices(n, k=1)] == 0.0)
     assert np.all(w[0] == 0.0)
