@@ -353,7 +353,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, RefinementError, DomainExitError,
-            MarchingError, NonConvergenceError) as exc:
+            MarchingError, NonConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 
+from .specialfn import _two_sum
+
 __all__ = [
     "Grid",
     "SampledFunction",
@@ -249,7 +251,8 @@ class QuadratureWeights:
         """Evaluate the quadrature at every node; node 0 is exactly 0.
 
         All rows are accumulated together, one column at a time in index
-        order, with Neumaier compensation; column j updates only rows j..n-1,
+        order, and the exact rounding error of each addition (TwoSum) is
+        carried in a second accumulator; column j updates only rows j..n-1,
         the lower triangle.  The order is fixed and serial arithmetic only,
         so results never depend on thread count, and the compensation keeps
         each node's sum within ~1 ulp of the rounded weights' exact sum
@@ -263,12 +266,8 @@ class QuadratureWeights:
         comp = np.zeros(n)
         for j in range(n):
             term = (self.band[:n - j] if j else self.first) * vals[j]
-            a = acc[j:]
-            total = a + term
-            comp[j:] += np.where(np.abs(a) >= np.abs(term),
-                                 (a - total) + term,
-                                 (term - total) + a)
-            acc[j:] = total
+            acc[j:], err = _two_sum(acc[j:], term)
+            comp[j:] += err
         out = acc + comp
         out[0] = 0.0
         return out

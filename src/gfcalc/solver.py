@@ -281,7 +281,8 @@ class SolverReport:
 def estimate_M(problem: IVProblem, sample_density: int = 64) -> float:
     """max |f| over a sample_density x sample_density lattice of the box
     G = [0, h_star] x {|y - T(x)| <= K}.  A lattice maximum is a lower
-    estimate of the true sup; reports flag it accordingly.
+    estimate of the true sup, so a step computed from it can be longer than
+    the theorem allows; a bound from each rhs is ROADMAP item 4.
     """
     if not (isinstance(sample_density, int) and sample_density >= 2):
         raise ValueError(f"sample_density must be an int >= 2, got {sample_density!r}")
@@ -297,8 +298,14 @@ def estimate_M(problem: IVProblem, sample_density: int = 64) -> float:
 
 
 def step_h(problem: IVProblem, M: float) -> float:
-    """Guaranteed step: h_star when M == 0, else
-    min(h_star, (K Gamma(alpha+1) rho**alpha / M)**(1/alpha))."""
+    """Existence step: h_star when M == 0, else
+    min(h_star, (K Gamma(alpha+1) rho**alpha / M)**(1/alpha)).
+
+    Not yet the step the theorem guarantees, for two known reasons
+    (ROADMAP item 4): M from :func:`estimate_M` is a lattice lower estimate
+    of sup |f|, and for rho != 1 the bound M s(h)**alpha / Gamma(alpha+1)
+    <= K needs the exponent 1/(rho alpha), not 1/alpha.
+    """
     if not (math.isfinite(M) and M >= 0.0):
         raise ValueError(f"M must be finite and >= 0, got {M}")
     if M == 0.0:

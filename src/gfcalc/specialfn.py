@@ -40,10 +40,22 @@ def gamma_ln(x: float) -> float:
     return math.lgamma(x)
 
 
+def _two_sum(a, b):
+    """Knuth's TwoSum: (s, e) with s = fl(a + b) and s + e == a + b exactly.
+
+    Branch-free, so the same code serves floats and numpy arrays
+    elementwise; exact whenever no partial sum overflows.
+    """
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
 def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(z) = sum z**j / Gamma(alpha j + 1).
 
-    Direct series summation with compensated accumulation.  Terms use the
+    Direct series summation, compensated by carrying the exact rounding
+    error of each addition (TwoSum) in a second accumulator.  Terms use the
     gamma function directly while its argument stays in double range and
     switch to log space beyond that.  For z >= 0 the series stops once the
     next term drops below 1e-16 of the accumulated sum; for z < 0 it stops
@@ -82,12 +94,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
         decreasing = mag < prev_mag
         if decreasing and mag <= (1e-16 if negative else 1e-16 * (acc + comp)):
             return acc + comp
-        total = acc + term
-        if abs(acc) >= abs(term):
-            comp += (acc - total) + term
-        else:
-            comp += (term - total) + acc
-        acc = total
+        acc, err = _two_sum(acc, term)
+        comp += err
         prev_mag = mag
     raise ConvergenceError(
         f"series did not converge within {_ML_MAX_TERMS} terms "

@@ -253,6 +253,30 @@ def test_operator_data_must_cover_left_endpoint(tmp_path, capsys):
     assert "data starts at" in err
 
 
+def _solve_argv(tmp_path, text):
+    return ["solve", write(tmp_path / "p.prob", text), "-o", str(tmp_path / "o.csv")]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp: _solve_argv(tmp, LIN_PROB
+                            .replace("problem.alpha = 0.5", "problem.alpha = 199.5")
+                            .replace("problem.y0 = [1.0]",
+                                     "problem.y0 = [" + ", ".join(["1.0"] * 200) + "]")),
+    lambda tmp: _solve_argv(tmp, LIN_PROB
+                            .replace("solver.n_nodes = 129", "solver.n_nodes = 33")
+                            .replace("solver.lipschitz_L = 1.0", "solver.lipschitz_L = 1e40")),
+    lambda tmp: ["operator", "integral",
+                 write_xy(tmp / "far.csv", 1e10 + np.linspace(0.0, 1.0, 9), np.ones(9)),
+                 "--alpha", "0.5", "--rho", "40", "--a", "1e10"],
+], ids=["gamma_in_step_h", "exp_in_contraction_bound", "a_pow_rho_in_s"])
+def test_overflow_is_computation_failure(tmp_path, capsys, make_argv):
+    # each case overflows a float operation deep inside the numerics
+    code, _, err = run(capsys, make_argv(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # study
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 operator-expansion (generalized Stirling) triangles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gfcalc.specialfn import (
     ConvergenceError,
     StirlingTable,
+    _two_sum,
     gamma_ln,
     mittag_leffler,
     pochhammer,
@@ -43,6 +45,28 @@ def test_gamma_ln_domain():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             gamma_ln(bad)
+
+
+# ---------------------------------------------------------------------------
+# error-free addition
+# ---------------------------------------------------------------------------
+
+_MODERATE = st.floats(min_value=-1e300, max_value=1e300,
+                      allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(_MODERATE, _MODERATE), min_size=1, max_size=16))
+def test_two_sum_is_exact(pairs):
+    scalar = [_two_sum(a, b) for a, b in pairs]
+    for (a, b), (s, e) in zip(pairs, scalar):
+        assert s == a + b
+        assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
+    # the same code on arrays gives the scalar results, signed zeros included
+    a_arr, b_arr = np.array(pairs).T
+    s_arr, e_arr = _two_sum(a_arr, b_arr)
+    assert s_arr.tobytes() == np.array([s for s, _ in scalar]).tobytes()
+    assert e_arr.tobytes() == np.array([e for _, e in scalar]).tobytes()
 
 
 # ---------------------------------------------------------------------------

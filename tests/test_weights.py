@@ -182,7 +182,12 @@ def test_apply_matches_dense_compensated_sweep(alpha, rho, n):
     # -0 on the leading nodes, then positive values with exact zeros among them
     signed_zeros = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.5, 2.0, n))
     signed_zeros[:(n + 1) // 2] = -0.0
-    inputs = {"random": random, "signed zeros": signed_zeros}
+    # alternating signs, magnitudes rising so |term| often exceeds |acc|
+    growing = np.geomspace(1e-150, 1e150, n) * (-1.0) ** np.arange(n)
+    # no intermediate of the compensated sum may overflow
+    huge = np.where(rng.random(n) < 0.5, -1e300, 1e300)
+    inputs = {"random": random, "signed zeros": signed_zeros,
+              "growing": growing, "huge": huge}
     for kind, vals in inputs.items():
         got = w.apply(vals)
         want = dense_neumaier_apply(dense, vals)
