@@ -117,6 +117,7 @@ def _print_report(report: SolverReport) -> None:
     print(f"h_used = {_NUM(report.h_used)}")
     print(f"M = {_NUM(report.M)}")
     print(f"iterations = {report.iterations}")
+    print(f"fft_iterations = {report.fft_iterations}")
     print(f"converged = {'yes' if report.converged else 'no'}")
     print(f"residual = {_NUM(report.residual)}")
     print("deltas = " + " ".join(_NUM(d) for d in report.deltas))
@@ -341,6 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_and_input(args) -> str:
+    """The command and its main input, e.g. ``solve (lin.prob)``."""
+    if args.command in ("solve", "study"):
+        return f"{args.command} ({args.problem})"
+    if args.command == "operator":
+        return f"operator {args.kind} ({args.data})"
+    return args.command     # ml and stirling take only numbers
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -353,8 +363,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, RefinementError, DomainExitError,
-            MarchingError, NonConvergenceError, OverflowError) as exc:
+            MarchingError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: overflow in {_command_and_input(args)}: {exc}", file=sys.stderr)
         return 2
 
 

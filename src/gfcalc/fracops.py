@@ -236,16 +236,25 @@ class QuadratureWeights:
             raise IndexError(f"row {i} out of range for {self.grid.n_nodes} nodes")
         return np.concatenate((self.first[i:i + 1], self.band[:i][::-1]))
 
-    @property
-    def w(self) -> np.ndarray:
-        """The dense n x n weight matrix, built on each access (O(n**2)
-        memory; the operators never need it)."""
+    def apply_fft(self, values: np.ndarray) -> np.ndarray:
+        """The sum of :meth:`apply` in O(n log n): ``first * values[0]`` plus
+        the linear convolution of ``band`` with ``values[1:]``, by real FFTs
+        zero padded to a power of two >= 2n - 3; node 0 is exactly 0.
+
+        Uncompensated: each node is off by a few ulp of the largest row sum
+        of |w| |values|, not of its own value, so use it only where that
+        error is swamped, as in the early Picard iterations.
+        """
+        vals = np.asarray(values, dtype=float)
         n = self.grid.n_nodes
-        w = np.zeros((n, n))
-        for i in range(n):
-            w[i, :i + 1] = self.row(i)
-        w.setflags(write=False)
-        return w
+        if vals.shape != (n,):
+            raise ValueError(f"values have shape {vals.shape}, expected ({n},)")
+        out = self.first * vals[0]
+        size = 1 << (2 * n - 4).bit_length()
+        spectrum = np.fft.rfft(self.band, size) * np.fft.rfft(vals[1:], size)
+        out[1:] += np.fft.irfft(spectrum, size)[:n - 1]
+        out[0] = 0.0
+        return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Evaluate the quadrature at every node; node 0 is exactly 0.

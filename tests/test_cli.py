@@ -271,10 +271,14 @@ def _solve_argv(tmp_path, text):
 ], ids=["gamma_in_step_h", "exp_in_contraction_bound", "a_pow_rho_in_s"])
 def test_overflow_is_computation_failure(tmp_path, capsys, make_argv):
     # each case overflows a float operation deep inside the numerics
-    code, _, err = run(capsys, make_argv(tmp_path))
+    argv = make_argv(tmp_path)
+    code, _, err = run(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    # the refusal names the command and its main input
+    assert err.startswith(f"error: overflow in {argv[0]} ")
+    assert argv[1] in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfcalc.fracops import SampledFunction, build_weights, gfi_reference, make_grid
+from gfcalc.fracops import (
+    QuadratureWeights,
+    SampledFunction,
+    build_weights,
+    gfi_reference,
+    make_grid,
+)
 from gfcalc.solver import (
     DomainExitError,
     IVProblem,
@@ -381,6 +387,63 @@ def test_picard_nonconvergence_carries_partial_result():
     assert err.report.iterations == 3
     assert not err.report.converged
     assert err.solution.grid.n_nodes == 65
+
+
+def compensated_picard(p, cfg):
+    """Picard iteration with the compensated apply on every iterate."""
+    grid = make_grid(0.0, existence_box(p).h, p.rho, cfg.n_nodes)
+    w = build_weights(grid, p.alpha)
+    t = taylor_poly(p.y0, grid.x_nodes)
+    y = t
+    for k in range(1, cfg.max_iter + 1):
+        y_next = t + w.apply(p.rhs.fn(grid.x_nodes, y, p))
+        delta = float(np.max(np.abs(y_next - y)))
+        y = y_next
+        if delta <= cfg.tol:
+            return y, k, True
+    return y, cfg.max_iter, False
+
+
+@pytest.mark.parametrize("name,params,alpha,rho,y0", [
+    ("linear", {"lambda": -1.0}, 0.5, 1.0, (1.0,)),
+    ("sin", {}, 0.7, 1.7, (0.3,)),
+    ("logistic", {"lambda": 0.8}, 0.9, 0.6, (0.4,)),
+    ("power_forcing", {"beta": 1.5}, 1.5, 1.3, (0.5, 0.2)),
+    ("zero", {}, 0.3, 1.0, (2.0,)),
+])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-14])
+def test_picard_fft_phase_keeps_compensated_iterations(name, params, alpha, rho, y0, tol):
+    p = IVProblem(alpha=alpha, rho=rho, y0=y0, rhs=make_rhs(name, params),
+                  h_star=1.0, K=1.0)
+    cfg = SolverConfig(n_nodes=257, tol=tol)
+    sol, rep = solve_picard(p, cfg)
+    want, iterations, converged = compensated_picard(p, cfg)
+    assert rep.iterations == iterations
+    assert rep.converged == converged
+    assert np.max(np.abs(sol.values - want)) <= 1e-15
+
+
+def test_picard_converged_solve_makes_two_compensated_applies(monkeypatch):
+    # the converging iteration and the residual; the iterations before it
+    # take the FFT path
+    calls = 0
+    apply = QuadratureWeights.apply
+
+    def counted(self, values):
+        nonlocal calls
+        calls += 1
+        return apply(self, values)
+
+    monkeypatch.setattr(QuadratureWeights, "apply", counted)
+    _, rep = solve_picard(problem(), SolverConfig(n_nodes=257, tol=1e-12))
+    assert rep.converged and rep.iterations > 2
+    assert calls == 2
+
+
+def test_picard_fft_phase_stops_before_the_last_allowed_iteration():
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_picard(problem(), SolverConfig(n_nodes=65, tol=1e-14, max_iter=3))
+    assert exc.value.report.fft_iterations == 2
 
 
 def test_picard_apply_box_exit():

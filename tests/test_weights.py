@@ -14,6 +14,15 @@ import pytest
 from gfcalc.fracops import SampledFunction, build_weights, make_grid
 
 
+def dense(weights) -> np.ndarray:
+    """The n x n weight matrix, one row of the stored weights at a time."""
+    n = weights.grid.n_nodes
+    w = np.zeros((n, n))
+    for i in range(n):
+        w[i, :i + 1] = weights.row(i)
+    return w
+
+
 def ulp_gap(got: float, want: float) -> float:
     if got == want:
         return 0.0
@@ -69,7 +78,7 @@ def test_alpha_one_reduces_to_trapezoid():
         expect[0] = ds / 2
         expect[row] = ds / 2
         expect[1:row] = ds
-        assert np.max(np.abs(w.w[row] - expect)) <= 4 * np.spacing(ds)
+        assert np.max(np.abs(dense(w)[row] - expect)) <= 4 * np.spacing(ds)
 
 
 def test_alpha_one_linear_integrand_exact():
@@ -96,7 +105,7 @@ def test_linear_integrand_matches_closed_form(alpha):
 def test_weights_nonnegative_and_triangular():
     for alpha in (0.2, 0.7, 1.0, 1.6):
         grid = make_grid(0.0, 1.0, 1.0, 33)
-        w = build_weights(grid, alpha).w
+        w = dense(build_weights(grid, alpha))
         assert np.all(np.isfinite(w))
         assert np.all(w >= 0.0)
         assert np.all(w[np.triu_indices(33, k=1)] == 0.0)
@@ -105,7 +114,7 @@ def test_weights_nonnegative_and_triangular():
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.25, 1.9])
 def test_weights_match_fifty_digit_oracle(alpha):
     grid = make_grid(0.0, 1.0, 1.0, 33)
-    w = build_weights(grid, alpha).w
+    w = dense(build_weights(grid, alpha))
     for row in (1, 2, 5, 17, 32):
         oracle = classical_weights_mp(alpha, grid.ds, row)
         for j in range(row + 1):
@@ -176,7 +185,7 @@ def test_apply_matches_dense_compensated_sweep(alpha, rho, n):
     # compared so that a -0/+0 flip in the leading rows fails too
     grid = make_grid(0.0, 1.4, rho, n)
     w = build_weights(grid, alpha)
-    dense = w.w
+    dense_w = dense(w)
     rng = np.random.default_rng(n)
     random = rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n))
     # -0 on the leading nodes, then positive values with exact zeros among them
@@ -190,7 +199,7 @@ def test_apply_matches_dense_compensated_sweep(alpha, rho, n):
               "growing": growing, "huge": huge}
     for kind, vals in inputs.items():
         got = w.apply(vals)
-        want = dense_neumaier_apply(dense, vals)
+        want = dense_neumaier_apply(dense_w, vals)
         assert got.tobytes() == want.tobytes(), kind
 
 
@@ -200,7 +209,7 @@ def test_dense_weights_toeplitz_off_first_column(alpha, n):
     for i in (-1, n):
         with pytest.raises(IndexError):
             weights.row(i)
-    w = weights.w
+    w = dense(weights)
     assert w.shape == (n, n)
     assert np.all(w[np.triu_indices(n, k=1)] == 0.0)
     assert np.all(w[0] == 0.0)
@@ -208,3 +217,18 @@ def test_dense_weights_toeplitz_off_first_column(alpha, n):
         # entry 0 of each sub-diagonal lies in column 0
         diagonal = np.diagonal(w, offset=-d)[1:]
         assert np.all(diagonal == diagonal[0])
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.9, 1.0, 1.7, 2.5])
+@pytest.mark.parametrize("rho", [0.6, 1.0, 1.7])
+def test_apply_fft_matches_apply(alpha, rho):
+    # the FFT sum is uncompensated: its error scales with the largest row
+    # sum of |w| |v|, not with each node's own value
+    for n in (2, 3, 17, 1025):
+        w = build_weights(make_grid(0.0, 1.4, rho, n), alpha)
+        rng = np.random.default_rng(n)
+        for vals in (rng.standard_normal(n), rng.uniform(0.5, 2.0, n)):
+            got = w.apply_fft(vals)
+            scale = float(np.max(w.apply(np.abs(vals))))
+            assert got[0] == 0.0
+            assert np.max(np.abs(got - w.apply(vals))) <= 1e-15 * scale
