@@ -2,93 +2,13 @@
 power-law kernel scale parameter rho (rho = 1 is classical Riemann-Liouville,
 rho -> 0 with a > 0 the logarithmic-kernel limit)."""
 
-from .fracops import (
-    Grid,
-    QuadratureWeights,
-    RefinementError,
-    SampledFunction,
-    build_weights,
-    gfd_caputo,
-    gfd_riemann,
-    gfi_apply,
-    gfi_reference,
-    make_grid,
-)
-from .problemfile import ProblemFileError, load_problem, parse_problem
-from .solver import (
-    DomainExitError,
-    ExistenceBox,
-    IVProblem,
-    MarchingError,
-    NonConvergenceError,
-    RightHandSide,
-    SolverConfig,
-    SolverReport,
-    contraction_bound,
-    estimate_M,
-    existence_box,
-    holder_bound,
-    make_rhs,
-    picard_apply,
-    rhs_names,
-    solve_marching,
-    solve_picard,
-    step_h,
-    taylor_poly,
-    volterra_residual,
-)
-from .specialfn import (
-    ConvergenceError,
-    StirlingTable,
-    gamma_ln,
-    mittag_leffler,
-    pochhammer,
-    stirling_oracle,
-    stirling_table,
-)
+from . import fracops, problemfile, solver, specialfn
+from .fracops import *
+from .problemfile import *
+from .solver import *
+from .specialfn import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Grid",
-    "SampledFunction",
-    "QuadratureWeights",
-    "RefinementError",
-    "make_grid",
-    "build_weights",
-    "gfi_apply",
-    "gfi_reference",
-    "gfd_riemann",
-    "gfd_caputo",
-    "ConvergenceError",
-    "gamma_ln",
-    "mittag_leffler",
-    "pochhammer",
-    "StirlingTable",
-    "stirling_table",
-    "stirling_oracle",
-    "RightHandSide",
-    "make_rhs",
-    "rhs_names",
-    "IVProblem",
-    "ExistenceBox",
-    "SolverConfig",
-    "SolverReport",
-    "DomainExitError",
-    "NonConvergenceError",
-    "MarchingError",
-    "taylor_poly",
-    "estimate_M",
-    "step_h",
-    "existence_box",
-    "picard_apply",
-    "solve_picard",
-    "solve_marching",
-    "contraction_bound",
-    "holder_bound",
-    "volterra_residual",
-    "ProblemFileError",
-    "parse_problem",
-    "load_problem",
-    "__version__",
-]
+__all__ = [*dict.fromkeys(fracops.__all__ + specialfn.__all__ + solver.__all__
+                          + problemfile.__all__), "__version__"]

@@ -153,17 +153,15 @@ def cmd_operator(args) -> int:
         raise ValueError(f"data must extend beyond a = {a!r}")
     grid = make_grid(a, float(x_data[-1]), args.rho, len(x_data))
     f = SampledFunction(grid, np.interp(grid.x_nodes, x_data, f_data))
+    caputo = args.kind == "caputo"
+    if caputo != (args.init is not None):
+        raise ValueError("kind 'caputo' requires --init c0[,c1,...]" if caputo
+                         else "--init applies only to kind 'caputo'")
     if args.kind == "integral":
-        if args.init is not None:
-            raise ValueError("--init applies only to kind 'caputo'")
         result = gfi_apply(f, args.alpha)
     elif args.kind == "deriv":
-        if args.init is not None:
-            raise ValueError("--init applies only to kind 'caputo'")
         result = gfd_riemann(f, args.alpha)
     else:
-        if args.init is None:
-            raise ValueError("kind 'caputo' requires --init c0[,c1,...]")
         result = gfd_caputo(f, args.alpha, args.init)
     if args.kind != "integral":
         print("note: derivative values at the first node come from one-sided "

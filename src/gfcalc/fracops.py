@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .specialfn import _two_sum
+from .specialfn import _check_finite, _two_sum
 
 __all__ = [
     "Grid",
@@ -284,8 +284,7 @@ class QuadratureWeights:
 
 def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
     """Product-trapezoidal weights for the Abel kernel of order ``alpha``."""
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    _check_finite("alpha", alpha)
     n = grid.n_nodes
     ds = grid.ds
     p, q = _ramp_moments(alpha, n - 1)
@@ -346,8 +345,7 @@ def gfd_riemann(f: SampledFunction, alpha: float) -> SampledFunction:
     the first node rely on one-sided stencils of a weakly singular profile
     and carry low confidence; refine or read interior nodes instead.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    _check_finite("alpha", alpha)
     norder = math.ceil(alpha)
     if f.grid.n_nodes < norder + 2:
         raise ValueError(
@@ -367,8 +365,7 @@ def gfd_caputo(f: SampledFunction, alpha: float, init) -> SampledFunction:
 
     ``init[k]`` is the k-th classical derivative of f at a, k = 0..n-1.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    _check_finite("alpha", alpha)
     norder = math.ceil(alpha)
     init = tuple(float(v) for v in init)
     if len(init) != norder:
@@ -487,12 +484,9 @@ def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
     ``f`` is a callable of x.  Slow but self-validating; intended for
     verification (tests, study diagnostics), not for production solves.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be finite and > 0, got {rho}")
-    if a < 0.0 or not math.isfinite(a):
-        raise ValueError(f"a must be finite and >= 0, got {a}")
+    _check_finite("alpha", alpha)
+    _check_finite("rho", rho)
+    _check_finite("a", a, strict=False)
     if x < a:
         raise ValueError(f"need x >= a, got x={x}, a={a}")
     if not tol > 0.0:

@@ -20,13 +20,11 @@ Unknown, duplicate, or missing required keys are errors naming the key.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .solver import IVProblem, SolverConfig, make_rhs, rhs_names
 
 __all__ = ["ProblemFileError", "parse_problem", "load_problem"]
-
-_REQUIRED = ("problem.alpha", "problem.rho", "problem.y0", "problem.rhs",
-             "problem.h_star", "problem.K", "solver.n_nodes")
-_OPTIONAL = ("solver.tol", "solver.max_iter", "solver.lipschitz_L")
 
 
 class ProblemFileError(ValueError):
@@ -62,6 +60,33 @@ def _parse_list(key: str, raw: str, lineno: int) -> tuple:
                  for part in inner.split(","))
 
 
+# every key, with the parser of its value; a key is required exactly when its
+# field has no default.  problem.rhs names a registered rhs and is resolved
+# together with its problem.rhs.* parameters.
+_KEYS = {
+    "problem.alpha": _parse_float,
+    "problem.rho": _parse_float,
+    "problem.y0": _parse_list,
+    "problem.rhs": None,
+    "problem.h_star": _parse_float,
+    "problem.K": _parse_float,
+    "solver.n_nodes": _parse_int,
+    "solver.tol": _parse_float,
+    "solver.max_iter": _parse_int,
+    "solver.lipschitz_L": _parse_float,
+}
+
+
+def _values(section: str, cls, entries: dict) -> dict:
+    """The parsed value of each ``cls`` field set in ``entries``, in field order."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        key = f"{section}.{field.name}"
+        if key in entries:
+            values[field.name] = _KEYS[key](key, *entries[key])
+    return values
+
+
 def parse_problem(text: str) -> tuple[IVProblem, SolverConfig]:
     """Parse problem-file text into (IVProblem, SolverConfig)."""
     entries: dict[str, tuple[str, int]] = {}
@@ -89,52 +114,24 @@ def parse_problem(text: str) -> tuple[IVProblem, SolverConfig]:
             raw, lineno = entries.pop(key)
             rhs_params[pname] = _parse_float(key, raw, lineno)
 
-    known = set(_REQUIRED) | set(_OPTIONAL)
     for key, (_, lineno) in entries.items():
-        if key not in known:
+        if key not in _KEYS:
             raise _fail(lineno, f"unknown key {key!r}")
-    for key in _REQUIRED:
-        if key not in entries:
-            raise _fail(None, f"missing required key {key!r}")
+    for section, cls in (("problem", IVProblem), ("solver", SolverConfig)):
+        for field in dataclasses.fields(cls):
+            key = f"{section}.{field.name}"
+            if field.default is dataclasses.MISSING and key not in entries:
+                raise _fail(None, f"missing required key {key!r}")
 
-    def floatval(key: str) -> float:
-        raw, lineno = entries[key]
-        return _parse_float(key, raw, lineno)
-
-    rhs_name_raw, rhs_line = entries["problem.rhs"]
-    if rhs_name_raw not in rhs_names():
-        raise _fail(rhs_line, f"problem.rhs: unknown rhs {rhs_name_raw!r}; "
+    rhs_name, rhs_line = entries.pop("problem.rhs")
+    if rhs_name not in rhs_names():
+        raise _fail(rhs_line, f"problem.rhs: unknown rhs {rhs_name!r}; "
                               f"known: {', '.join(rhs_names())}")
+    # the problem, rhs first, is built and checked before any solver value is read
     try:
-        rhs = make_rhs(rhs_name_raw, rhs_params)
-    except ValueError as exc:
-        raise ProblemFileError(str(exc)) from None
-
-    y0_raw, y0_line = entries["problem.y0"]
-    try:
-        problem = IVProblem(
-            alpha=floatval("problem.alpha"),
-            rho=floatval("problem.rho"),
-            y0=_parse_list("problem.y0", y0_raw, y0_line),
-            rhs=rhs,
-            h_star=floatval("problem.h_star"),
-            K=floatval("problem.K"),
-        )
-    except ValueError as exc:
-        raise ProblemFileError(str(exc)) from None
-
-    kwargs: dict = {}
-    n_raw, n_line = entries["solver.n_nodes"]
-    kwargs["n_nodes"] = _parse_int("solver.n_nodes", n_raw, n_line)
-    if "solver.tol" in entries:
-        kwargs["tol"] = floatval("solver.tol")
-    if "solver.max_iter" in entries:
-        raw, lineno = entries["solver.max_iter"]
-        kwargs["max_iter"] = _parse_int("solver.max_iter", raw, lineno)
-    if "solver.lipschitz_L" in entries:
-        kwargs["lipschitz_L"] = floatval("solver.lipschitz_L")
-    try:
-        config = SolverConfig(**kwargs)
+        rhs = make_rhs(rhs_name, rhs_params)
+        problem = IVProblem(rhs=rhs, **_values("problem", IVProblem, entries))
+        config = SolverConfig(**_values("solver", SolverConfig, entries))
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
     return problem, config

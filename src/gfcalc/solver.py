@@ -35,7 +35,7 @@ from .fracops import (
     make_grid,
     taylor_poly,
 )
-from .specialfn import gamma_ln, mittag_leffler
+from .specialfn import _check_finite, gamma_ln, mittag_leffler
 
 __all__ = [
     "RightHandSide",
@@ -156,7 +156,8 @@ class RightHandSide:
     returns a bound for |f(x, y1) - f(x, y2)| / |y1 - y2| valid on the
     existence box, or None.  ``exact(problem)`` returns a callable reference
     solution of the Volterra equation, or None when unavailable.  All three
-    read the ``_RHS`` entry, which ``params`` is checked against here.
+    read the ``_RHS`` entry, which ``params`` is checked against and takes
+    its defaults from here.
     """
 
     name: str
@@ -171,8 +172,10 @@ class RightHandSide:
             if key not in schema:
                 raise ValueError(f"rhs {self.name!r} does not take parameter {key!r}")
         for key, default in schema.items():
-            if key not in params and default is None:
-                raise ValueError(f"rhs {self.name!r} requires parameter {key!r}")
+            if key not in params:
+                if default is None:
+                    raise ValueError(f"rhs {self.name!r} requires parameter {key!r}")
+                params[key] = default
         for key, val in params.items():
             if not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ValueError(f"rhs parameter {key!r} must be a finite number, got {val!r}")
@@ -195,9 +198,7 @@ def rhs_names() -> list[str]:
 
 def make_rhs(name: str, params: dict | None = None) -> RightHandSide:
     """Look up a right-hand side by name; ``params`` fills its parameters."""
-    defaults = _RHS[name].params if name in _RHS else {}
-    full = {**{k: v for k, v in defaults.items() if v is not None}, **dict(params or {})}
-    return RightHandSide(name=name, params=tuple(full.items()))
+    return RightHandSide(name=name, params=tuple(dict(params or {}).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +217,8 @@ class IVProblem:
     K: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
+        _check_finite("alpha", self.alpha)
+        _check_finite("rho", self.rho)
         y0 = tuple(float(v) for v in self.y0)
         if not all(math.isfinite(v) for v in y0):
             raise ValueError("y0 entries must be finite")
@@ -227,10 +226,8 @@ class IVProblem:
             raise ValueError(
                 f"y0 must have ceil(alpha) = {self.m} entries, got {len(y0)}"
             )
-        if not (math.isfinite(self.h_star) and self.h_star > 0.0):
-            raise ValueError(f"h_star must be finite and > 0, got {self.h_star}")
-        if not (math.isfinite(self.K) and self.K > 0.0):
-            raise ValueError(f"K must be finite and > 0, got {self.K}")
+        _check_finite("h_star", self.h_star)
+        _check_finite("K", self.K)
         object.__setattr__(self, "y0", y0)
 
     @property
@@ -257,8 +254,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (isinstance(self.n_nodes, int) and self.n_nodes >= 2):
             raise ValueError(f"n_nodes must be an int >= 2, got {self.n_nodes!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        _check_finite("tol", self.tol)
         if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
         if self.lipschitz_L is not None and not (
@@ -307,8 +303,7 @@ def step_h(problem: IVProblem, M: float) -> float:
     of sup |f|, and for rho != 1 the bound M s(h)**alpha / Gamma(alpha+1)
     <= K needs the exponent 1/(rho alpha), not 1/alpha.
     """
-    if not (math.isfinite(M) and M >= 0.0):
-        raise ValueError(f"M must be finite and >= 0, got {M}")
+    _check_finite("M", M, strict=False)
     if M == 0.0:
         return problem.h_star
     alpha, rho = problem.alpha, problem.rho
@@ -490,14 +485,10 @@ def contraction_bound(j: int, L: float, x: float, alpha: float, rho: float) -> f
     """
     if not (isinstance(j, int) and j >= 0):
         raise ValueError(f"j must be an int >= 0, got {j!r}")
-    if not (math.isfinite(L) and L >= 0.0):
-        raise ValueError(f"L must be finite and >= 0, got {L}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be finite and > 0, got {rho}")
+    _check_finite("L", L, strict=False)
+    _check_finite("x", x, strict=False)
+    _check_finite("alpha", alpha)
+    _check_finite("rho", rho)
     if j == 0:
         return 1.0
     if x == 0.0 or L == 0.0:
@@ -517,12 +508,9 @@ def holder_bound(x1: float, x2: float, M: float, alpha: float, rho: float) -> fl
     """
     if not (math.isfinite(x1) and math.isfinite(x2) and 0.0 <= x1 <= x2):
         raise ValueError(f"need 0 <= x1 <= x2, got x1={x1}, x2={x2}")
-    if not (math.isfinite(M) and M >= 0.0):
-        raise ValueError(f"M must be finite and >= 0, got {M}")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be finite and > 0, got {rho}")
+    _check_finite("M", M, strict=False)
+    _check_finite("alpha", alpha)
+    _check_finite("rho", rho)
     scale = M / (rho**alpha * math.gamma(alpha + 1.0))
     gap = x2**rho - x1**rho
     if alpha <= 1.0:

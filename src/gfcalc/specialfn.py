@@ -40,6 +40,13 @@ def gamma_ln(x: float) -> float:
     return math.lgamma(x)
 
 
+def _check_finite(name: str, value, strict: bool = True) -> None:
+    """Refuse ``value`` unless it is finite and > 0 (>= 0 when not strict)."""
+    if not (math.isfinite(value) and (value > 0.0 if strict else value >= 0.0)):
+        op = ">" if strict else ">="
+        raise ValueError(f"{name} must be finite and {op} 0, got {value}")
+
+
 def _two_sum(a, b):
     """Knuth's TwoSum: (s, e) with s = fl(a + b) and s + e == a + b exactly.
 
@@ -64,8 +71,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
     terms overflow double precision, or fail to start decreasing within the
     term cap, are rejected.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    _check_finite("alpha", alpha)
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     if z == 0.0:

@@ -1,8 +1,13 @@
 """Problem-file parsing: the flat section.key = value format."""
 
+import textwrap
+from pathlib import Path
+
 import pytest
 
+from gfcalc import problemfile
 from gfcalc.problemfile import ProblemFileError, load_problem, parse_problem
+from gfcalc.solver import make_rhs
 
 GOOD = """\
 # linear test problem
@@ -145,3 +150,47 @@ def test_load_problem_from_disk(tmp_path):
     problem, config = load_problem(str(path))
     assert problem.alpha == 0.5
     assert config.n_nodes == 257
+
+
+def test_problem_errors_precede_solver_errors():
+    text = GOOD.replace("problem.K = 2.0", "problem.K = 0")
+    text = text.replace("solver.n_nodes = 257", "solver.n_nodes = x")
+    with pytest.raises(ProblemFileError) as info:
+        parse_problem(text)
+    assert str(info.value) == "K must be finite and > 0, got 0.0"
+
+
+def test_rhs_error_precedes_problem_value_errors():
+    text = GOOD.replace("problem.rhs = linear", "problem.rhs = cubic")
+    text = text.replace("problem.alpha = 0.5", "problem.alpha = x")
+    with pytest.raises(ProblemFileError,
+                       match=r"^line 6: problem\.rhs: unknown rhs 'cubic'"):
+        parse_problem(text)
+
+
+def _indented_block(text: str, opener: str) -> str:
+    """The lines after ``opener`` up to the first unindented one, dedented."""
+    lines = text.split(opener, 1)[1].splitlines()[1:]
+    block = []
+    for line in lines:
+        if line and not line.startswith(" "):
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block))
+
+
+def test_docstring_example_parses():
+    example = _indented_block(problemfile.__doc__, "Example::")
+    problem, config = parse_problem(example)
+    assert problem.rhs == make_rhs("linear", {"lambda": -1.0})
+    assert config.lipschitz_L == 1.0
+
+
+def test_readme_problem_file_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("Problem files are flat", 1)[1]
+    block = block.split("```\n", 2)[1]
+    problem, config = parse_problem(block)
+    assert problem.rhs == make_rhs("linear", {"lambda": -1.0})
+    assert config.n_nodes == 257
+    assert config.lipschitz_L == 1.0

@@ -198,6 +198,19 @@ def test_make_rhs_errors():
         RightHandSide(name="sin", params=(("c", math.nan),))
 
 
+def test_rhs_constructor_fills_defaults():
+    sin = RightHandSide(name="sin", params=())
+    assert sin == make_rhs("sin")
+    assert hash(sin) == hash(make_rhs("sin"))
+    assert sin.params == (("c", 1.0),)
+    ivp = IVProblem(alpha=0.7, rho=1.0, y0=(0.3,), rhs=sin, h_star=1.0, K=1.0)
+    _, report = solve_picard(ivp, SolverConfig(n_nodes=65))
+    assert report.converged
+    forcing = RightHandSide("power_forcing", (("beta", 1.5),))
+    assert dict(forcing.params) == {"beta": 1.5, "c": 1.0}
+    assert forcing == make_rhs("power_forcing", {"beta": 1.5})
+
+
 def test_rhs_lipschitz_hand_values():
     p = problem(name="zero", params={})
     assert p.rhs.lipschitz(p) == 0.0
