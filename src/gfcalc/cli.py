@@ -30,7 +30,6 @@ from .fracops import (
     gfd_caputo,
     gfd_riemann,
     gfi_apply,
-    gfi_reference,
     make_grid,
 )
 from .problemfile import ProblemFileError, load_problem
@@ -39,8 +38,9 @@ from .solver import (
     MarchingError,
     NonConvergenceError,
     SolverReport,
+    contraction_respected,
+    oracle_residual,
     solve_picard,
-    taylor_poly,
 )
 from .specialfn import ConvergenceError, mittag_leffler, stirling_table
 
@@ -194,41 +194,6 @@ def _observed_orders(errs: list[float]) -> list[float]:
     return orders
 
 
-def _contraction_respected(report: SolverReport) -> bool:
-    if report.omega_bounds is None or len(report.deltas) < 2:
-        return True
-    d0 = report.deltas[0]
-    slack = 1e-12 * max(1.0, d0)
-    for j in range(1, len(report.deltas)):
-        if report.deltas[j] > report.omega_bounds[j - 1] * d0 * (1.0 + 1e-2) + slack:
-            return False
-    return True
-
-
-def _oracle_residual(problem, solution: SampledFunction) -> float:
-    """Defect of the solution in the integral equation, measured against the
-    adaptive reference quadrature at a few interior nodes."""
-    grid = solution.grid
-    s_nodes, values = grid.s_nodes, solution.values
-
-    def y_at(x: float) -> float:
-        return float(np.interp(float(grid.s_of(x)), s_nodes, values))
-
-    def integrand(x: float) -> float:
-        return float(problem.rhs.fn(np.array([x]), np.array([y_at(x)]), problem)[0])
-
-    n = grid.n_nodes
-    worst = 0.0
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        i = min(n - 1, max(1, round(frac * (n - 1))))
-        x_i = float(grid.x_nodes[i])
-        ref = gfi_reference(integrand, x_i, problem.alpha, grid.rho, grid.a,
-                            tol=1e-10)
-        t_i = float(taylor_poly(problem.y0, np.array([x_i]))[0])
-        worst = max(worst, abs(float(values[i]) - t_i - ref))
-    return worst
-
-
 def cmd_study(args) -> int:
     problem, config = load_problem(args.problem)
     ns = args.resolutions
@@ -260,11 +225,11 @@ def cmd_study(args) -> int:
         print(f"{n},{_NUM(err)},{_NUM(order)}")
 
     if config.lipschitz_L is not None:
-        respected = all(_contraction_respected(rep) for rep in reports)
+        respected = all(contraction_respected(rep) for rep in reports)
         print(f"contraction_bounds: {'respected' if respected else 'violated'}",
               file=sys.stderr)
     try:
-        resid = _oracle_residual(problem, solutions[-1])
+        resid = oracle_residual(solutions[-1], problem)
     except RefinementError as exc:
         print(f"oracle_residual: nan  # {exc}", file=sys.stderr)
     else:

@@ -388,7 +388,8 @@ def taylor_poly(y0, x):
 
 
 # ---------------------------------------------------------------------------
-# adaptive reference quadrature (verification oracle; not used by the solver)
+# adaptive reference quadrature (verification oracle: gfi_reference, and
+# solver.oracle_residual one mesh level at a time; never used to solve)
 # ---------------------------------------------------------------------------
 
 def _graded_abel_sum(g_vals: np.ndarray, u: np.ndarray, dsig: np.ndarray,
@@ -445,27 +446,30 @@ def _graded_mesh(s_end: float, n_cells: int):
     return sigma, u, dsig
 
 
-def _abel_adaptive(g: Callable[[float], float], s_end: float, alpha: float,
-                   tol: float, max_depth: int) -> float:
-    """int_0^{s_end} (s_end - sigma)**(alpha-1) g(sigma) dsigma.
+def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
+               alpha: float, tol: float, max_depth: int) -> float:
+    """int_0^{s_end} (s_end - sigma)**(alpha-1) g(sigma) dsigma, with g
+    evaluated one mesh level at a time: ``g(sigma)`` maps an array of nodes
+    to an array of values.
 
     Product-trapezoid rule on a doubly graded mesh, doubling the mesh until
     two successive refinements differ by less than tol; the returned value
     carries the last h**2 extrapolation.  Node values are reused across
-    refinements (dyadic meshes), so g is evaluated once per node.
+    refinements (dyadic meshes), so g is called on the 65 starting nodes and
+    then once per doubling on that level's new nodes, ``sigma[1::2]``.
     """
     if s_end == 0.0:
         return 0.0
     n_cells = 64
     sigma, u, dsig = _graded_mesh(s_end, n_cells)
-    g_vals = np.array([g(float(s)) for s in sigma])
+    g_vals = np.asarray(g(sigma), dtype=float)
     prev = _graded_abel_sum(g_vals, u, dsig, alpha)
     for _ in range(max_depth):
         n_cells *= 2
         sigma, u, dsig = _graded_mesh(s_end, n_cells)
         new_vals = np.empty(n_cells + 1)
         new_vals[0::2] = g_vals
-        new_vals[1::2] = [g(float(s)) for s in sigma[1::2]]
+        new_vals[1::2] = g(sigma[1::2])
         g_vals = new_vals
         cur = _graded_abel_sum(g_vals, u, dsig, alpha)
         if abs(cur - prev) < tol:
@@ -475,6 +479,13 @@ def _abel_adaptive(g: Callable[[float], float], s_end: float, alpha: float,
         f"no convergence to tol = {tol} within {max_depth} mesh doublings "
         f"({n_cells} cells)"
     )
+
+
+def _abel_adaptive(g: Callable[[float], float], s_end: float, alpha: float,
+                   tol: float, max_depth: int) -> float:
+    """:func:`_abel_mesh` for a scalar g, called once per node."""
+    return _abel_mesh(lambda sigma: [g(float(s)) for s in sigma], s_end, alpha,
+                      tol, max_depth)
 
 
 def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
@@ -487,6 +498,8 @@ def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
     _check_finite("alpha", alpha)
     _check_finite("rho", rho)
     _check_finite("a", a, strict=False)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x < a:
         raise ValueError(f"need x >= a, got x={x}, a={a}")
     if not tol > 0.0:

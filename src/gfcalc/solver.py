@@ -30,7 +30,9 @@ from .fracops import (
     Grid,
     QuadratureWeights,
     SampledFunction,
+    _abel_mesh,
     _check_weights,
+    _x_from_s,
     build_weights,
     make_grid,
     taylor_poly,
@@ -58,10 +60,15 @@ __all__ = [
     "contraction_bound",
     "holder_bound",
     "volterra_residual",
+    "contraction_respected",
+    "oracle_residual",
 ]
 
 _DOMAIN_SLACK = 1e-9       # relative slack on |y - T| <= K before flagging exit
 _MARCH_ITER_CAP = 100
+_ORACLE_PROBES = (0.25, 0.5, 0.75, 1.0)   # probe nodes, as fractions of the grid
+_ORACLE_TOL = 1e-10
+_ORACLE_MAX_DEPTH = 16
 
 
 class DomainExitError(RuntimeError):
@@ -530,3 +537,51 @@ def volterra_residual(y: SampledFunction, problem: IVProblem,
     t = taylor_poly(problem.y0, x)
     fvals = _eval_rhs(problem, x, y.values)
     return float(np.max(np.abs(y.values - t - weights.apply(fvals))))
+
+
+def contraction_respected(report: SolverReport) -> bool:
+    """Whether every Picard update stayed within its contraction bound,
+    deltas[j] <= omega_j deltas[0] for j >= 1, up to a relative slack of
+    1e-2 and an absolute one of 1e-12 max(1, deltas[0]).  True when no
+    bounds were computed (no lipschitz_L) or there are fewer than two
+    updates.
+    """
+    if report.omega_bounds is None or len(report.deltas) < 2:
+        return True
+    d0 = report.deltas[0]
+    slack = 1e-12 * max(1.0, d0)
+    for j in range(1, len(report.deltas)):
+        if report.deltas[j] > report.omega_bounds[j - 1] * d0 * (1.0 + 1e-2) + slack:
+            return False
+    return True
+
+
+def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
+    """max | y_i - T(x_i) - (I^alpha f(., y))(x_i) | over the nodes at 1/4,
+    1/2, 3/4 and the end of the grid: the defect of y in the continuous
+    Volterra equation, with y read as its piecewise-linear interpolant in s.
+
+    The integral comes from the adaptive reference quadrature, independent
+    of the solver's weights, at tol 1e-10 and at most 16 mesh doublings;
+    each mesh level is one vectorized rhs call.  Raises RefinementError when
+    a probe does not converge.
+    """
+    grid = y.grid
+    if grid.a != 0.0:
+        raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
+
+    def level(sigma: np.ndarray) -> np.ndarray:
+        x = _x_from_s(sigma, grid.a, grid.rho)
+        return problem.rhs.fn(x, np.interp(grid.s_of(x), grid.s_nodes, y.values),
+                              problem)
+
+    n = grid.n_nodes
+    worst = 0.0
+    for frac in _ORACLE_PROBES:
+        i = min(n - 1, max(1, round(frac * (n - 1))))
+        x_i = float(grid.x_nodes[i])
+        ref = _abel_mesh(level, float(grid.s_of(x_i)), problem.alpha, _ORACLE_TOL,
+                         _ORACLE_MAX_DEPTH) / math.gamma(problem.alpha)
+        t_i = float(taylor_poly(problem.y0, np.array([x_i]))[0])
+        worst = max(worst, abs(float(y.values[i]) - t_i - ref))
+    return worst

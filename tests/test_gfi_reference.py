@@ -104,3 +104,12 @@ def test_parameter_validation(kwargs):
 def test_x_below_a_rejected():
     with pytest.raises(ValueError):
         gfi_reference(lambda x: 1.0, 0.5, 0.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_rejected_before_any_evaluation(x):
+    def f(_):
+        raise AssertionError("f evaluated")
+
+    with pytest.raises(ValueError, match="x must be finite"):
+        gfi_reference(f, x, 0.5, 1.0, 0.0)

@@ -20,11 +20,14 @@ from gfcalc.solver import (
     NonConvergenceError,
     RightHandSide,
     SolverConfig,
+    SolverReport,
     contraction_bound,
+    contraction_respected,
     estimate_M,
     existence_box,
     holder_bound,
     make_rhs,
+    oracle_residual,
     picard_apply,
     rhs_names,
     solve_marching,
@@ -642,3 +645,92 @@ def test_holder_invariant_on_picard_image():
             bound = holder_bound(x1=float(xs[i]), x2=float(xs[j]), M=M,
                                  alpha=0.6, rho=1.2)
             assert meas <= bound * 1.01 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# study diagnostics
+# ---------------------------------------------------------------------------
+
+def _report(deltas, omega_bounds):
+    return SolverReport(h_used=1.0, M=1.0, iterations=len(deltas), fft_iterations=0,
+                        deltas=np.array(deltas, dtype=float),
+                        omega_bounds=None if omega_bounds is None
+                        else np.array(omega_bounds, dtype=float),
+                        residual=0.0, converged=True)
+
+
+@pytest.mark.parametrize("deltas,omega_bounds,want", [
+    ([1.0, 5.0], None, True),                   # no bounds computed
+    ([1.0], [0.5], True),                       # nothing to compare
+    ([1.0, 0.5], [0.5], True),                  # on the bound
+    ([1.0, 0.505], [0.5], True),                # within the 1e-2 relative slack
+    ([1.0, 0.506], [0.5], False),
+    ([1.0, 0.1, 0.26], [0.5, 0.25], False),     # a later update breaks it
+    ([1.0, 1e-12], [0.0], True),                # the 1e-12 absolute slack
+    ([1.0, 2e-12], [0.0], False),
+    ([100.0, 1e-10], [0.0], True),              # slack scales with deltas[0] > 1
+    ([100.0, 2e-10], [0.0], False),
+])
+def test_contraction_respected(deltas, omega_bounds, want):
+    assert contraction_respected(_report(deltas, omega_bounds)) is want
+
+
+def _per_point_oracle(y, p):
+    # the oracle as one gfi_reference call per probe node, with a scalar
+    # integrand mapping each point x -> s -> interpolated y -> f(x, y)
+    grid = y.grid
+
+    def integrand(x):
+        y_x = float(np.interp(float(grid.s_of(x)), grid.s_nodes, y.values))
+        return float(p.rhs.fn(np.array([x]), np.array([y_x]), p)[0])
+
+    n = grid.n_nodes
+    worst = 0.0
+    for frac in (0.25, 0.5, 0.75, 1.0):
+        i = min(n - 1, max(1, round(frac * (n - 1))))
+        x_i = float(grid.x_nodes[i])
+        ref = gfi_reference(integrand, x_i, p.alpha, grid.rho, grid.a, tol=1e-10)
+        t_i = float(taylor_poly(p.y0, np.array([x_i]))[0])
+        worst = max(worst, abs(float(y.values[i]) - t_i - ref))
+    return worst
+
+
+ORACLE_CASES = [
+    ("linear", {"lambda": -1.0}, (1.0,)),
+    ("sin", {}, (0.5,)),
+    ("logistic", {"lambda": 1.0}, (0.5,)),
+    ("power_forcing", {"beta": 1.5}, (1.0,)),
+]
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name,params,y0", ORACLE_CASES)
+def test_oracle_residual_equals_per_point_formula(name, params, y0, rho):
+    p = problem(alpha=0.6, rho=rho, y0=y0, name=name, params=params, K=2.0)
+    y, _ = solve_picard(p, SolverConfig(n_nodes=65, tol=1e-12))
+    got = oracle_residual(y, p)
+    assert got.hex() == _per_point_oracle(y, p).hex()
+    assert got < 1e-2
+
+
+def test_oracle_residual_calls_rhs_once_per_level(monkeypatch):
+    # 4 probes, each at most the starting mesh plus 16 doublings
+    calls = 0
+    fn = RightHandSide.fn
+
+    def counted(self, x, y, problem):
+        nonlocal calls
+        calls += 1
+        return fn(self, x, y, problem)
+
+    p = problem(alpha=0.6, rho=2.0, y0=(0.5,), name="sin", params={})
+    y, _ = solve_picard(p, SolverConfig(n_nodes=257, tol=1e-12))
+    monkeypatch.setattr(RightHandSide, "fn", counted)
+    oracle_residual(y, p)
+    assert 4 <= calls <= 4 * 17
+
+
+def test_oracle_residual_needs_grid_from_origin():
+    g = make_grid(0.5, 1.0, 1.0, 9)
+    with pytest.raises(ValueError, match="grid.a must be 0"):
+        oracle_residual(SampledFunction(g, np.ones(9)), problem())
