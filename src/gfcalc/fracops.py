@@ -388,8 +388,9 @@ def taylor_poly(y0, x):
 
 
 # ---------------------------------------------------------------------------
-# adaptive reference quadrature (verification oracle: gfi_reference, and
-# solver.oracle_residual one mesh level at a time; never used to solve)
+# adaptive reference quadrature (verification oracle: gfi_reference and
+# solver.oracle_residual both go through _abel_x, which evaluates its
+# integrand one mesh level at a time; never used to solve)
 # ---------------------------------------------------------------------------
 
 def _graded_abel_sum(g_vals: np.ndarray, u: np.ndarray, dsig: np.ndarray,
@@ -420,30 +421,30 @@ def _graded_abel_sum(g_vals: np.ndarray, u: np.ndarray, dsig: np.ndarray,
     return total
 
 
+def _width_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """3(x+y) - 2(x^2+xy+y^2): a graded cell's width over s_end/n_cells, in
+    its end variables t or 1 - t; cancellation-free where they are small."""
+    return 3.0 * (x + y) - 2.0 * (x * x + x * y + y * y)
+
+
 def _graded_mesh(s_end: float, n_cells: int):
     """Mesh over [0, s_end] with quadratic clustering at both endpoints.
 
-    Returns (sigma, u, dsig): node positions, stable distances to the
-    singular endpoint, and cell widths.  t**2 (3 - 2t) grading keeps the
-    product rule second-order accurate even when the integrand's derivative
-    blows up at either end.
+    Returns (u, dsig): the stable distances of the nodes to the singular
+    endpoint, so node i sits at s_end - u[i] (exactly 0 for i = 0), and the
+    cell widths.  t**2 (3 - 2t) grading keeps the product rule second-order
+    accurate even when the integrand's derivative blows up at either end.
     """
     t = np.arange(n_cells + 1) / n_cells
     p = 1.0 - t
     u = s_end * p * p * (1.0 + 2.0 * t)          # exact at both ends
-    sigma = s_end - u
-    sigma[0] = 0.0
-    # width in the factored form 3(x+y) - 2(x^2+xy+y^2), cancellation-free
-    # when evaluated in whichever end variable is small
-    ta, tb = t[:-1], t[1:]
-    pa, pb = p[:-1], p[1:]
-    bracket = np.where(
-        ta < 0.5,
-        3.0 * (ta + tb) - 2.0 * (ta * ta + ta * tb + tb * tb),
-        3.0 * (pa + pb) - 2.0 * (pa * pa + pa * pb + pb * pb),
-    )
-    dsig = (s_end / n_cells) * bracket
-    return sigma, u, dsig
+    # t < 0.5 exactly on the first half of the cells, since n_cells is even
+    half = n_cells // 2
+    dsig = np.empty(n_cells)
+    dsig[:half] = _width_bracket(t[:half], t[1:half + 1])
+    dsig[half:] = _width_bracket(p[half:-1], p[half + 1:])
+    dsig *= s_end / n_cells
+    return u, dsig
 
 
 def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
@@ -456,20 +457,20 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
     two successive refinements differ by less than tol; the returned value
     carries the last h**2 extrapolation.  Node values are reused across
     refinements (dyadic meshes), so g is called on the 65 starting nodes and
-    then once per doubling on that level's new nodes, ``sigma[1::2]``.
+    then once per doubling on that level's new nodes, ``s_end - u[1::2]``.
     """
     if s_end == 0.0:
         return 0.0
     n_cells = 64
-    sigma, u, dsig = _graded_mesh(s_end, n_cells)
-    g_vals = np.asarray(g(sigma), dtype=float)
+    u, dsig = _graded_mesh(s_end, n_cells)
+    g_vals = np.asarray(g(s_end - u), dtype=float)
     prev = _graded_abel_sum(g_vals, u, dsig, alpha)
     for _ in range(max_depth):
         n_cells *= 2
-        sigma, u, dsig = _graded_mesh(s_end, n_cells)
+        u, dsig = _graded_mesh(s_end, n_cells)
         new_vals = np.empty(n_cells + 1)
         new_vals[0::2] = g_vals
-        new_vals[1::2] = g(sigma[1::2])
+        new_vals[1::2] = g(s_end - u[1::2])
         g_vals = new_vals
         cur = _graded_abel_sum(g_vals, u, dsig, alpha)
         if abs(cur - prev) < tol:
@@ -481,19 +482,22 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
     )
 
 
-def _abel_adaptive(g: Callable[[float], float], s_end: float, alpha: float,
-                   tol: float, max_depth: int) -> float:
-    """:func:`_abel_mesh` for a scalar g, called once per node."""
-    return _abel_mesh(lambda sigma: [g(float(s)) for s in sigma], s_end, alpha,
-                      tol, max_depth)
+def _abel_x(f: Callable[[np.ndarray], np.ndarray], x: float, alpha: float,
+            rho: float, a: float, tol: float, max_depth: int) -> float:
+    """(I_rho^alpha f)(x) by :func:`_abel_mesh` in s, with ``f`` mapping an
+    array of x to values once per mesh level; 0.0 at x = a."""
+    s_end = float(_s_from_x(x, a, rho))
+    return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol,
+                      max_depth) / math.gamma(alpha)
 
 
 def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
                   tol: float = 1e-10, max_depth: int = 16) -> float:
     """Reference value of the fractional integral at a single point.
 
-    ``f`` is a callable of x.  Slow but self-validating; intended for
-    verification (tests, study diagnostics), not for production solves.
+    ``f`` is a callable of x, called once per point with a Python float.
+    Slow but self-validating; intended for verification (tests, study
+    diagnostics), not for production solves.
     """
     _check_finite("alpha", alpha)
     _check_finite("rho", rho)
@@ -502,13 +506,6 @@ def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
         raise ValueError(f"x must be finite, got {x}")
     if x < a:
         raise ValueError(f"need x >= a, got x={x}, a={a}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if x == a:
-        return 0.0
-    s_end = float(_s_from_x(x, a, rho))
-
-    def g(sigma: float) -> float:
-        return float(f(float(_x_from_s(sigma, a, rho))))
-
-    return _abel_adaptive(g, s_end, alpha, tol, max_depth) / math.gamma(alpha)
+    _check_finite("tol", tol)
+    return _abel_x(lambda xs: [float(f(v)) for v in xs.tolist()], x, alpha,
+                   rho, a, tol, max_depth)

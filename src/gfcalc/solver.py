@@ -30,14 +30,13 @@ from .fracops import (
     Grid,
     QuadratureWeights,
     SampledFunction,
-    _abel_mesh,
+    _abel_x,
     _check_weights,
-    _x_from_s,
     build_weights,
     make_grid,
     taylor_poly,
 )
-from .specialfn import _check_finite, gamma_ln, mittag_leffler
+from .specialfn import _check_finite, _check_int, gamma_ln, mittag_leffler
 
 __all__ = [
     "RightHandSide",
@@ -259,11 +258,9 @@ class SolverConfig:
     lipschitz_L: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n_nodes, int) and self.n_nodes >= 2):
-            raise ValueError(f"n_nodes must be an int >= 2, got {self.n_nodes!r}")
+        _check_int("n_nodes", self.n_nodes, 2)
         _check_finite("tol", self.tol)
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
+        _check_int("max_iter", self.max_iter, 1)
         if self.lipschitz_L is not None and not (
             math.isfinite(self.lipschitz_L) and self.lipschitz_L >= 0.0
         ):
@@ -288,8 +285,7 @@ def estimate_M(problem: IVProblem, sample_density: int = 64) -> float:
     estimate of the true sup, so a step computed from it can be longer than
     the theorem allows; a bound from each rhs is ROADMAP item 4.
     """
-    if not (isinstance(sample_density, int) and sample_density >= 2):
-        raise ValueError(f"sample_density must be an int >= 2, got {sample_density!r}")
+    _check_int("sample_density", sample_density, 2)
     xs = np.linspace(0.0, problem.h_star, sample_density)
     offsets = np.linspace(-problem.K, problem.K, sample_density)
     t = taylor_poly(problem.y0, xs)
@@ -343,8 +339,9 @@ def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _check_ivp_grid(grid: Grid, problem: IVProblem,
-                    weights: QuadratureWeights) -> None:
-    _check_weights(weights, grid, problem.alpha)
+                    weights: QuadratureWeights | None = None) -> None:
+    if weights is not None:
+        _check_weights(weights, grid, problem.alpha)
     if grid.a != 0.0:
         raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
 
@@ -490,8 +487,7 @@ def contraction_bound(j: int, L: float, x: float, alpha: float, rho: float) -> f
     Bounds the sup-norm contraction of j compositions of the integral
     operator for an L-Lipschitz right-hand side, on [0, x].
     """
-    if not (isinstance(j, int) and j >= 0):
-        raise ValueError(f"j must be an int >= 0, got {j!r}")
+    _check_int("j", j, 0)
     _check_finite("L", L, strict=False)
     _check_finite("x", x, strict=False)
     _check_finite("alpha", alpha)
@@ -567,11 +563,9 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     a probe does not converge.
     """
     grid = y.grid
-    if grid.a != 0.0:
-        raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
+    _check_ivp_grid(grid, problem)
 
-    def level(sigma: np.ndarray) -> np.ndarray:
-        x = _x_from_s(sigma, grid.a, grid.rho)
+    def integrand(x: np.ndarray) -> np.ndarray:
         return problem.rhs.fn(x, np.interp(grid.s_of(x), grid.s_nodes, y.values),
                               problem)
 
@@ -580,8 +574,8 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     for frac in _ORACLE_PROBES:
         i = min(n - 1, max(1, round(frac * (n - 1))))
         x_i = float(grid.x_nodes[i])
-        ref = _abel_mesh(level, float(grid.s_of(x_i)), problem.alpha, _ORACLE_TOL,
-                         _ORACLE_MAX_DEPTH) / math.gamma(problem.alpha)
+        ref = _abel_x(integrand, x_i, problem.alpha, grid.rho, grid.a,
+                      _ORACLE_TOL, _ORACLE_MAX_DEPTH)
         t_i = float(taylor_poly(problem.y0, np.array([x_i]))[0])
         worst = max(worst, abs(float(y.values[i]) - t_i - ref))
     return worst

@@ -47,6 +47,12 @@ def _check_finite(name: str, value, strict: bool = True) -> None:
         raise ValueError(f"{name} must be finite and {op} 0, got {value}")
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Refuse ``value`` unless it is an int, not a bool, and >= ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 def _two_sum(a, b):
     """Knuth's TwoSum: (s, e) with s = fl(a + b) and s + e == a + b exactly.
 
@@ -176,9 +182,8 @@ class StirlingTable:
 
 
 def _validate_rm(r: int, m: int) -> None:
-    for name, v in (("r", r), ("m", m)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+    _check_int("r", r, 1)
+    _check_int("m", m, 1)
 
 
 def stirling_table(r: int, m: int, max_n: int) -> StirlingTable:
@@ -188,8 +193,7 @@ def stirling_table(r: int, m: int, max_n: int) -> StirlingTable:
     All arithmetic is exact.
     """
     _validate_rm(r, m)
-    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
-        raise ValueError(f"max_n must be an int >= 0, got {max_n!r}")
+    _check_int("max_n", max_n, 0)
 
     rows = [(1,)]
     level = {0: 1}          # derivative power f -> integer coefficient
@@ -231,8 +235,7 @@ def stirling_oracle(r: int, m: int, n: int) -> list:
     (r, m <= %d, n <= %d).
     """ % (_ORACLE_MAX_RM, _ORACLE_MAX_N)
     _validate_rm(r, m)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be an int >= 0, got {n!r}")
+    _check_int("n", n, 0)
     if r > _ORACLE_MAX_RM or m > _ORACLE_MAX_RM or n > _ORACLE_MAX_N:
         raise ValueError(
             f"oracle limited to r, m <= {_ORACLE_MAX_RM} and n <= {_ORACLE_MAX_N}"

@@ -1,6 +1,7 @@
 """The package surface: what ``gfcalc`` exports, and the exact wording of the
 finite-value checks on the paper's hypotheses (alpha, rho > 0, a box of
-half-width K > 0 over [0, h_star], M >= 0, L >= 0)."""
+half-width K > 0 over [0, h_star], M >= 0, L >= 0) and of the integer-count
+checks (grid sizes, iteration caps, Stirling indices)."""
 
 import math
 
@@ -20,11 +21,12 @@ from gfcalc.solver import (
     IVProblem,
     SolverConfig,
     contraction_bound,
+    estimate_M,
     holder_bound,
     make_rhs,
     step_h,
 )
-from gfcalc.specialfn import mittag_leffler
+from gfcalc.specialfn import mittag_leffler, stirling_oracle, stirling_table
 
 SUBMODULES = (fracops, problemfile, solver, specialfn)
 
@@ -64,6 +66,8 @@ SITES = [
      lambda v: gfi_reference(math.sin, 1.0, 0.5, v, 0.0)),
     ("gfi_reference", "a", False,
      lambda v: gfi_reference(math.sin, 1.0, 0.5, 1.0, v)),
+    ("gfi_reference", "tol", True,
+     lambda v: gfi_reference(math.sin, 1.0, 0.5, 1.0, 0.0, tol=v)),
     ("IVProblem", "alpha", True, lambda v: _ivp(alpha=v)),
     ("IVProblem", "rho", True, lambda v: _ivp(rho=v)),
     ("IVProblem", "h_star", True, lambda v: _ivp(h_star=v)),
@@ -107,3 +111,36 @@ def test_finite_check_message(name, strict, call, bad):
 ])
 def test_nonstrict_check_accepts_zero(call):
     call(0.0)
+
+
+# ---------------------------------------------------------------------------
+# integer-count checks
+# ---------------------------------------------------------------------------
+
+# (site, checked name, minimum, call with the bad value)
+INT_SITES = [
+    ("SolverConfig", "n_nodes", 2, lambda v: SolverConfig(n_nodes=v)),
+    ("SolverConfig", "max_iter", 1, lambda v: SolverConfig(n_nodes=65, max_iter=v)),
+    ("estimate_M", "sample_density", 2, lambda v: estimate_M(_ivp(), v)),
+    ("contraction_bound", "j", 0,
+     lambda v: contraction_bound(v, 1.0, 1.0, 0.5, 1.0)),
+    ("stirling_table", "r", 1, lambda v: stirling_table(v, 1, 3)),
+    ("stirling_table", "m", 1, lambda v: stirling_table(1, v, 3)),
+    ("stirling_table", "max_n", 0, lambda v: stirling_table(1, 1, v)),
+    ("stirling_oracle", "r", 1, lambda v: stirling_oracle(v, 1, 3)),
+    ("stirling_oracle", "m", 1, lambda v: stirling_oracle(1, v, 3)),
+    ("stirling_oracle", "n", 0, lambda v: stirling_oracle(1, 1, v)),
+]
+
+INT_CASES = [
+    pytest.param(name, minimum, call, bad, id=f"{site}-{name}-{bad!r}")
+    for site, name, minimum, call in INT_SITES
+    for bad in (True, 1.5, minimum - 1)
+]
+
+
+@pytest.mark.parametrize("name,minimum,call,bad", INT_CASES)
+def test_int_check_message(name, minimum, call, bad):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must be an int >= {minimum}, got {bad!r}"

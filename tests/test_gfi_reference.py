@@ -6,11 +6,19 @@ is evaluated with mpmath at 30 digits.
 """
 
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
-from gfcalc.fracops import RefinementError, gfi_reference
+from gfcalc.fracops import (
+    RefinementError,
+    _abel_mesh,
+    _s_from_x,
+    _x_from_s,
+    gfi_reference,
+)
 
 
 def abel_mp(g, s_end: float, alpha: float) -> float:
@@ -91,7 +99,7 @@ def test_refinement_error_carries_context():
     "kwargs",
     [
         dict(alpha=0.0), dict(alpha=-0.5), dict(rho=0.0), dict(rho=-1.0),
-        dict(tol=0.0), dict(a=-0.1),
+        dict(tol=0.0), dict(tol=math.inf), dict(tol=math.nan), dict(a=-0.1),
     ],
 )
 def test_parameter_validation(kwargs):
@@ -113,3 +121,37 @@ def test_non_finite_x_rejected_before_any_evaluation(x):
 
     with pytest.raises(ValueError, match="x must be finite"):
         gfi_reference(f, x, 0.5, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.4])      # power and exp/log1p maps
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_equals_per_point_mapping(a, rho):
+    # gfi_reference maps a whole mesh level to x at once; mapping each node
+    # on its own, as a scalar, must give the same bits
+    alpha, tol, x = 0.6, 1e-9, a + 1.2
+    seen = set()
+
+    def f(t):
+        seen.add(type(t))
+        return math.cos(3.0 * t) + t * t
+
+    got = gfi_reference(f, x, alpha, rho, a, tol=tol)
+    assert seen == {float}
+    want = _abel_mesh(
+        lambda s: [f(float(_x_from_s(v, a, rho))) for v in s.tolist()],
+        float(_s_from_x(x, a, rho)), alpha, tol, 16) / math.gamma(alpha)
+    assert got.hex() == want.hex()
+
+
+def test_refusal_memory_is_bounded():
+    # the last of 12 doublings has 262,144 cells; the mesh, its widths, the
+    # node values and the sum's temporaries stay under 9 arrays of that size
+    n_cells = 64 * 2**12
+    tracemalloc.start()
+    try:
+        with pytest.raises(RefinementError, match="262144 cells"):
+            _abel_mesh(lambda s: np.sin(50.0 / (s + 0.01)), 1.0, 0.5, 1e-300, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 8 * (n_cells + 1)
