@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .specialfn import _check_finite, _two_sum
+from .specialfn import _check_finite, _check_int, _two_sum
 
 __all__ = [
     "Grid",
@@ -43,9 +43,28 @@ __all__ = [
     "taylor_poly",
 ]
 
+_REFERENCE_TOL = 1e-10     # gfi_reference and the study oracle, by default
+_REFERENCE_MAX_DEPTH = 16
+
 
 class RefinementError(RuntimeError):
     """Adaptive quadrature did not converge within the depth limit."""
+
+
+def _gamma(alpha: float, shift: float = 0.0) -> float:
+    """Gamma(alpha + shift), refusing an overflow as too large an alpha."""
+    try:
+        return math.gamma(alpha + shift)
+    except OverflowError:
+        raise ValueError(f"alpha = {alpha} too large: gamma overflow") from None
+
+
+def _node_values(values, n: int) -> np.ndarray:
+    """``values`` as a float array, refused unless it has one entry per node."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (n,):
+        raise ValueError(f"values have shape {vals.shape}, expected ({n},)")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +130,9 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_nodes,):
-            raise ValueError(
-                f"values have shape {vals.shape}, expected ({self.grid.n_nodes},)"
-            )
+        vals = _node_values(self.values, self.grid.n_nodes).copy()
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -245,10 +259,8 @@ class QuadratureWeights:
         of |w| |values|, not of its own value, so use it only where that
         error is swamped, as in the early Picard iterations.
         """
-        vals = np.asarray(values, dtype=float)
         n = self.grid.n_nodes
-        if vals.shape != (n,):
-            raise ValueError(f"values have shape {vals.shape}, expected ({n},)")
+        vals = _node_values(values, n)
         out = self.first * vals[0]
         size = 1 << (2 * n - 4).bit_length()
         spectrum = np.fft.rfft(self.band, size) * np.fft.rfft(vals[1:], size)
@@ -267,10 +279,8 @@ class QuadratureWeights:
         each node's sum within ~1 ulp of the rounded weights' exact sum
         regardless of grid length.
         """
-        vals = np.asarray(values, dtype=float)
         n = self.grid.n_nodes
-        if vals.shape != (n,):
-            raise ValueError(f"values have shape {vals.shape}, expected ({n},)")
+        vals = _node_values(values, n)
         acc = np.zeros(n)
         comp = np.zeros(n)
         for j in range(n):
@@ -288,10 +298,7 @@ def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
     n = grid.n_nodes
     ds = grid.ds
     p, q = _ramp_moments(alpha, n - 1)
-    try:
-        gam = math.gamma(alpha + 1.0)
-    except OverflowError:
-        raise ValueError(f"alpha = {alpha} too large: gamma overflow") from None
+    gam = _gamma(alpha, 1.0)
     # moments carry the extra alpha, so the prefactor divides by Gamma(alpha+1)
     pref = np.power(np.longdouble(ds), np.longdouble(alpha)) / np.longdouble(gam)
     first = (pref * p).astype(float)
@@ -304,27 +311,13 @@ def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
     return QuadratureWeights(alpha=float(alpha), grid=grid, first=first, band=band)
 
 
-def _check_weights(weights: QuadratureWeights, grid: Grid, alpha: float) -> None:
-    if not weights.grid.same_layout(grid):
-        raise ValueError("weights were built for a different grid")
-    if weights.alpha != alpha:
-        raise ValueError(
-            f"weights are for alpha={weights.alpha}, requested alpha={alpha}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
-def gfi_apply(f: SampledFunction, alpha: float,
-              weights: QuadratureWeights | None = None) -> SampledFunction:
+def gfi_apply(f: SampledFunction, alpha: float) -> SampledFunction:
     """Fractional integral of order ``alpha`` of ``f`` at every grid node."""
-    if weights is None:
-        weights = build_weights(f.grid, alpha)
-    else:
-        _check_weights(weights, f.grid, alpha)
-    return SampledFunction(f.grid, weights.apply(f.values))
+    return SampledFunction(f.grid, build_weights(f.grid, alpha).apply(f.values))
 
 
 def _deriv_s(values: np.ndarray, ds: float) -> np.ndarray:
@@ -418,6 +411,8 @@ def _graded_abel_sum(g_vals: np.ndarray, u: np.ndarray, dsig: np.ndarray,
     b_last = u[-2]
     total += b_last**alpha * (g_vals[-1] / (alpha * (alpha + 1.0))
                               + g_vals[-2] / (alpha + 1.0))
+    if not math.isfinite(total):
+        raise ValueError(f"integrand gives a non-finite sum on {dsig.size} cells")
     return total
 
 
@@ -458,6 +453,7 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
     carries the last h**2 extrapolation.  Node values are reused across
     refinements (dyadic meshes), so g is called on the 65 starting nodes and
     then once per doubling on that level's new nodes, ``s_end - u[1::2]``.
+    A non-finite level is refused: its nodes stay in every later level.
     """
     if s_end == 0.0:
         return 0.0
@@ -483,16 +479,19 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
 
 
 def _abel_x(f: Callable[[np.ndarray], np.ndarray], x: float, alpha: float,
-            rho: float, a: float, tol: float, max_depth: int) -> float:
+            rho: float, a: float, tol: float = _REFERENCE_TOL,
+            max_depth: int = _REFERENCE_MAX_DEPTH) -> float:
     """(I_rho^alpha f)(x) by :func:`_abel_mesh` in s, with ``f`` mapping an
     array of x to values once per mesh level; 0.0 at x = a."""
+    gam = _gamma(alpha)
     s_end = float(_s_from_x(x, a, rho))
     return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol,
-                      max_depth) / math.gamma(alpha)
+                      max_depth) / gam
 
 
 def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
-                  tol: float = 1e-10, max_depth: int = 16) -> float:
+                  tol: float = _REFERENCE_TOL,
+                  max_depth: int = _REFERENCE_MAX_DEPTH) -> float:
     """Reference value of the fractional integral at a single point.
 
     ``f`` is a callable of x, called once per point with a Python float.
@@ -507,5 +506,6 @@ def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
     if x < a:
         raise ValueError(f"need x >= a, got x={x}, a={a}")
     _check_finite("tol", tol)
+    _check_int("max_depth", max_depth, 1)
     return _abel_x(lambda xs: [float(f(v)) for v in xs.tolist()], x, alpha,
                    rho, a, tol, max_depth)

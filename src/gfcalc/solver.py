@@ -31,7 +31,7 @@ from .fracops import (
     QuadratureWeights,
     SampledFunction,
     _abel_x,
-    _check_weights,
+    _s_from_x,
     build_weights,
     make_grid,
     taylor_poly,
@@ -49,7 +49,6 @@ __all__ = [
     "DomainExitError",
     "NonConvergenceError",
     "MarchingError",
-    "taylor_poly",
     "estimate_M",
     "step_h",
     "existence_box",
@@ -64,10 +63,9 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-9       # relative slack on |y - T| <= K before flagging exit
+_M_LATTICE = 64            # estimate_M samples x and y - T at this many points each
 _MARCH_ITER_CAP = 100
 _ORACLE_PROBES = (0.25, 0.5, 0.75, 1.0)   # probe nodes, as fractions of the grid
-_ORACLE_TOL = 1e-10
-_ORACLE_MAX_DEPTH = 16
 
 
 class DomainExitError(RuntimeError):
@@ -102,7 +100,7 @@ def _linear_exact(p: dict, problem: "IVProblem"):
 
     def ref(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = lam * np.power(np.power(x, rho) / rho, alpha)
+        z = lam * np.power(_s_from_x(x, 0.0, rho), alpha)
         return y00 * np.array([mittag_leffler(alpha, zi) for zi in z])
 
     return ref
@@ -111,7 +109,7 @@ def _linear_exact(p: dict, problem: "IVProblem"):
 def _power_forcing_fn(p: dict, x, y, problem: "IVProblem"):
     beta, c, alpha, rho = p["beta"], p["c"], problem.alpha, problem.rho
     scale = c * math.exp(gamma_ln(beta + 1.0) - gamma_ln(beta + 1.0 - alpha))
-    return scale * np.power(np.power(x, rho) / rho, beta - alpha) + 0.0 * y
+    return scale * np.power(_s_from_x(x, 0.0, rho), beta - alpha) + 0.0 * y
 
 
 def _power_forcing_exact(p: dict, problem: "IVProblem"):
@@ -119,7 +117,7 @@ def _power_forcing_exact(p: dict, problem: "IVProblem"):
 
     def ref(x):
         x = np.asarray(x, dtype=float)
-        return taylor_poly(problem.y0, x) + c * np.power(np.power(x, rho) / rho, beta)
+        return taylor_poly(problem.y0, x) + c * np.power(_s_from_x(x, 0.0, rho), beta)
 
     return ref
 
@@ -279,17 +277,16 @@ class SolverReport:
     converged: bool
 
 
-def estimate_M(problem: IVProblem, sample_density: int = 64) -> float:
-    """max |f| over a sample_density x sample_density lattice of the box
-    G = [0, h_star] x {|y - T(x)| <= K}.  A lattice maximum is a lower
+def estimate_M(problem: IVProblem) -> float:
+    """max |f| over the 64 x 64 lattice of the box G = [0, h_star] x
+    {|y - T(x)| <= K}, even in x and in y - T.  A lattice maximum is a lower
     estimate of the true sup, so a step computed from it can be longer than
     the theorem allows; a bound from each rhs is ROADMAP item 4.
     """
-    _check_int("sample_density", sample_density, 2)
-    xs = np.linspace(0.0, problem.h_star, sample_density)
-    offsets = np.linspace(-problem.K, problem.K, sample_density)
+    xs = np.linspace(0.0, problem.h_star, _M_LATTICE)
+    offsets = np.linspace(-problem.K, problem.K, _M_LATTICE)
     t = taylor_poly(problem.y0, xs)
-    xx = np.repeat(xs, sample_density)
+    xx = np.repeat(xs, _M_LATTICE)
     yy = (t[:, None] + offsets[None, :]).ravel()
     vals = problem.rhs.fn(xx, yy, problem)
     if not np.all(np.isfinite(vals)):
@@ -338,22 +335,25 @@ def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _check_ivp_grid(grid: Grid, problem: IVProblem,
-                    weights: QuadratureWeights | None = None) -> None:
-    if weights is not None:
-        _check_weights(weights, grid, problem.alpha)
+def _ivp_taylor(grid: Grid, problem: IVProblem,
+                weights: QuadratureWeights | None = None) -> np.ndarray:
+    """T at the nodes, after checking that grid and weights suit the problem."""
+    if weights is not None and not weights.grid.same_layout(grid):
+        raise ValueError("weights were built for a different grid")
+    if weights is not None and weights.alpha != problem.alpha:
+        raise ValueError(f"weights are for alpha={weights.alpha}, "
+                         f"requested alpha={problem.alpha}")
     if grid.a != 0.0:
         raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
+    return taylor_poly(problem.y0, grid.x_nodes)
 
 
 def picard_apply(y: SampledFunction, problem: IVProblem,
                  weights: QuadratureWeights) -> SampledFunction:
     """One application of the integral operator: T + I^alpha f(., y)."""
-    _check_ivp_grid(y.grid, problem, weights)
-    x = y.grid.x_nodes
-    t = taylor_poly(problem.y0, x)
+    t = _ivp_taylor(y.grid, problem, weights)
     _check_in_box(y.values, t, problem.K, "iterate")
-    fvals = _eval_rhs(problem, x, y.values)
+    fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
     return SampledFunction(y.grid, t + weights.apply(fvals))
 
 
@@ -361,8 +361,7 @@ def _solver_setup(problem: IVProblem, config: SolverConfig):
     box = existence_box(problem)
     grid = make_grid(0.0, box.h, problem.rho, config.n_nodes)
     weights = build_weights(grid, problem.alpha)
-    t = taylor_poly(problem.y0, grid.x_nodes)
-    return box, grid, weights, t
+    return box, grid, weights, _ivp_taylor(grid, problem)
 
 
 def _omega_array(L: float | None, count: int, h: float, alpha: float,
@@ -528,10 +527,8 @@ def volterra_residual(y: SampledFunction, problem: IVProblem,
     """
     if weights is None:
         weights = build_weights(y.grid, problem.alpha)
-    _check_ivp_grid(y.grid, problem, weights)
-    x = y.grid.x_nodes
-    t = taylor_poly(problem.y0, x)
-    fvals = _eval_rhs(problem, x, y.values)
+    t = _ivp_taylor(y.grid, problem, weights)
+    fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
     return float(np.max(np.abs(y.values - t - weights.apply(fvals))))
 
 
@@ -558,24 +555,23 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     Volterra equation, with y read as its piecewise-linear interpolant in s.
 
     The integral comes from the adaptive reference quadrature, independent
-    of the solver's weights, at tol 1e-10 and at most 16 mesh doublings;
-    each mesh level is one vectorized rhs call.  Raises RefinementError when
-    a probe does not converge.
+    of the solver's weights, at gfi_reference's default tol and depth; each
+    mesh level is one finiteness-checked rhs call, and a node probed twice
+    is integrated once.  Raises RefinementError when a probe does not converge.
     """
     grid = y.grid
-    _check_ivp_grid(grid, problem)
+    t = _ivp_taylor(grid, problem)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return problem.rhs.fn(x, np.interp(grid.s_of(x), grid.s_nodes, y.values),
-                              problem)
+        return _eval_rhs(problem, x,
+                         np.interp(grid.s_of(x), grid.s_nodes, y.values))
 
     n = grid.n_nodes
+    probes = dict.fromkeys(min(n - 1, max(1, round(frac * (n - 1))))
+                           for frac in _ORACLE_PROBES)
     worst = 0.0
-    for frac in _ORACLE_PROBES:
-        i = min(n - 1, max(1, round(frac * (n - 1))))
-        x_i = float(grid.x_nodes[i])
-        ref = _abel_x(integrand, x_i, problem.alpha, grid.rho, grid.a,
-                      _ORACLE_TOL, _ORACLE_MAX_DEPTH)
-        t_i = float(taylor_poly(problem.y0, np.array([x_i]))[0])
-        worst = max(worst, abs(float(y.values[i]) - t_i - ref))
+    for i in probes:
+        ref = _abel_x(integrand, float(grid.x_nodes[i]), problem.alpha,
+                      grid.rho, grid.a)
+        worst = max(worst, abs(float(y.values[i]) - float(t[i]) - ref))
     return worst

@@ -4,7 +4,9 @@ half-width K > 0 over [0, h_star], M >= 0, L >= 0) and of the integer-count
 checks (grid sizes, iteration caps, Stirling indices)."""
 
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gfcalc
@@ -21,7 +23,6 @@ from gfcalc.solver import (
     IVProblem,
     SolverConfig,
     contraction_bound,
-    estimate_M,
     holder_bound,
     make_rhs,
     step_h,
@@ -38,6 +39,23 @@ def test_package_exports_the_submodule_names():
     for mod in SUBMODULES:
         for name in mod.__all__:
             assert getattr(gfcalc, name) is getattr(mod, name), name
+    # each public name is declared by one submodule; a name another module
+    # merely imports, such as solver.taylor_poly, still imports from there
+    declared = [name for mod in SUBMODULES for name in mod.__all__]
+    assert len(declared) == len(set(declared))
+    assert solver.taylor_poly is fracops.taylor_poly
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```\n", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["integral"].values.shape == (513,)
+    h_used, iterations, residual = capsys.readouterr().out.split()
+    assert float(h_used) > 0.0 and int(iterations) >= 1
+    assert float(residual) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +139,8 @@ def test_nonstrict_check_accepts_zero(call):
 INT_SITES = [
     ("SolverConfig", "n_nodes", 2, lambda v: SolverConfig(n_nodes=v)),
     ("SolverConfig", "max_iter", 1, lambda v: SolverConfig(n_nodes=65, max_iter=v)),
-    ("estimate_M", "sample_density", 2, lambda v: estimate_M(_ivp(), v)),
+    ("gfi_reference", "max_depth", 1,
+     lambda v: gfi_reference(math.sin, 1.0, 0.5, 1.0, 0.0, max_depth=v)),
     ("contraction_bound", "j", 0,
      lambda v: contraction_bound(v, 1.0, 1.0, 0.5, 1.0)),
     ("stirling_table", "r", 1, lambda v: stirling_table(v, 1, 3)),
@@ -144,3 +163,23 @@ def test_int_check_message(name, minimum, call, bad):
     with pytest.raises(ValueError) as info:
         call(bad)
     assert str(info.value) == f"{name} must be an int >= {minimum}, got {bad!r}"
+
+
+# ---------------------------------------------------------------------------
+# node-values check
+# ---------------------------------------------------------------------------
+
+WEIGHTS = build_weights(GRID, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: SampledFunction(GRID, v),
+    WEIGHTS.apply,
+    WEIGHTS.apply_fft,
+], ids=["SampledFunction", "apply", "apply_fft"])
+@pytest.mark.parametrize("bad", [np.ones(4), np.ones((5, 1)), 1.0])
+def test_node_values_shape_message(call, bad):
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == (
+        f"values have shape {np.shape(bad)}, expected (5,)")

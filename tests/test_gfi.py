@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gfcalc.fracops import (
     SampledFunction,
-    build_weights,
     gfi_apply,
     gfi_reference,
     make_grid,
@@ -74,10 +73,9 @@ def test_linearity_is_exact():
     rng = np.random.default_rng(11)
     u = rng.standard_normal(129)
     v = rng.standard_normal(129)
-    w = build_weights(grid, 0.6)
-    lhs = gfi_apply(SampledFunction(grid, 2.0 * u + v), 0.6, w).values
-    rhs = (2.0 * gfi_apply(SampledFunction(grid, u), 0.6, w).values
-           + gfi_apply(SampledFunction(grid, v), 0.6, w).values)
+    lhs = gfi_apply(SampledFunction(grid, 2.0 * u + v), 0.6).values
+    rhs = (2.0 * gfi_apply(SampledFunction(grid, u), 0.6).values
+           + gfi_apply(SampledFunction(grid, v), 0.6).values)
     assert float(np.max(np.abs(lhs - rhs))) < 1e-13 * max(1.0, np.abs(rhs).max())
 
 
@@ -158,18 +156,6 @@ def test_left_inverse_under_refinement(alpha):
         errs.append(float(np.max(np.abs(back[m] - f.values[m]))))
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] <= 1e-5
-
-
-def test_explicit_weights_must_match_grid_and_alpha():
-    g1 = make_grid(0.0, 1.0, 1.0, 17)
-    g2 = make_grid(0.0, 1.0, 1.0, 33)
-    w2 = build_weights(g2, 0.5)
-    f = SampledFunction(g1, np.ones(17))
-    with pytest.raises(ValueError):
-        gfi_apply(f, 0.5, w2)
-    w1 = build_weights(g1, 0.7)
-    with pytest.raises(ValueError):
-        gfi_apply(f, 0.5, w1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -155,3 +155,32 @@ def test_refusal_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 9 * 8 * (n_cells + 1)
+
+
+def test_gamma_overflow_refused_before_any_evaluation():
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.cos(x)
+
+    with pytest.raises(ValueError, match=r"^alpha = 180\.0 too large: gamma overflow$"):
+        gfi_reference(f, 1.0, 180.0, 1.0, 0.0)
+    assert calls == 0
+
+
+def test_non_finite_integrand_refused_at_first_level():
+    # 1/sqrt(x) is infinite at x = 0, a node of every level, so no number of
+    # doublings could converge; the 65 nodes of the first level settle it
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return 1.0 / np.sqrt(x)
+
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match="non-finite sum on 64 cells"):
+            gfi_reference(f, 1.0, 0.5, 1.0, 0.0)
+    assert calls <= 65

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gfcalc import solver
 from gfcalc.fracops import (
     QuadratureWeights,
     SampledFunction,
@@ -90,11 +91,6 @@ def test_estimate_m_linear_exact():
 def test_estimate_m_bounded_rhs():
     p = problem(alpha=0.7, y0=(0.3,), name="sin", params={})
     assert estimate_M(p) <= 1.0
-
-
-def test_estimate_m_validation():
-    with pytest.raises(ValueError):
-        estimate_M(problem(), sample_density=1)
 
 
 def test_step_h_zero_m_returns_h_star():
@@ -486,10 +482,10 @@ def test_picard_apply_rejects_mismatched_weights():
     p = problem()
     g = make_grid(0.0, 0.2, 1.0, 33)
     y = SampledFunction(g, np.ones(33))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights are for alpha=0.7, requested alpha=0.5"):
         picard_apply(y, p, build_weights(g, 0.7))
     g2 = make_grid(0.0, 0.2, 1.0, 65)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights were built for a different grid"):
         picard_apply(y, p, build_weights(g2, 0.5))
 
 
@@ -728,6 +724,43 @@ def test_oracle_residual_calls_rhs_once_per_level(monkeypatch):
     monkeypatch.setattr(RightHandSide, "fn", counted)
     oracle_residual(y, p)
     assert 4 <= calls <= 4 * 17
+
+
+def test_oracle_residual_refuses_non_finite_rhs_at_first_level(monkeypatch):
+    # f = c Gamma(1.3)/Gamma(0.8) s**-0.2 is infinite at x = 0, a node of the
+    # first mesh level; the refusal comes before any doubling
+    calls = 0
+    fn = RightHandSide.fn
+
+    def counted(self, x, y, problem):
+        nonlocal calls
+        calls += 1
+        return fn(self, x, y, problem)
+
+    p = problem(alpha=0.5, name="power_forcing", params={"beta": 0.3})
+    y = SampledFunction(make_grid(0.0, 1.0, 1.0, 65), np.zeros(65))
+    monkeypatch.setattr(RightHandSide, "fn", counted)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match="non-finite values"):
+            oracle_residual(y, p)
+    assert calls <= 1
+
+
+def test_oracle_residual_integrates_each_probe_node_once(monkeypatch):
+    # at n = 3 the probes 1/4, 1/2, 3/4, 1 land on nodes 1, 1, 2, 2
+    seen = []
+    abel_x = solver._abel_x
+
+    def counted(f, x, *args, **kwargs):
+        seen.append(x)
+        return abel_x(f, x, *args, **kwargs)
+
+    p = problem(alpha=0.6, y0=(0.5,), name="sin", params={})
+    y, _ = solve_picard(p, SolverConfig(n_nodes=3, tol=1e-12))
+    monkeypatch.setattr(solver, "_abel_x", counted)
+    got = oracle_residual(y, p)
+    assert seen == [float(y.grid.x_nodes[1]), float(y.grid.x_nodes[2])]
+    assert got.hex() == _per_point_oracle(y, p).hex()
 
 
 def test_oracle_residual_needs_grid_from_origin():
