@@ -381,9 +381,9 @@ def taylor_poly(y0, x):
 
 
 # ---------------------------------------------------------------------------
-# adaptive reference quadrature (verification oracle: gfi_reference and
-# solver.oracle_residual both go through _abel_x, which evaluates its
-# integrand one mesh level at a time; never used to solve)
+# adaptive reference quadrature (verification oracle: gfi_reference, which
+# solver.oracle_residual also calls, evaluates its integrand one mesh level
+# at a time; never used to solve)
 # ---------------------------------------------------------------------------
 
 def _graded_abel_sum(g_vals: np.ndarray, u: np.ndarray, dsig: np.ndarray,
@@ -453,20 +453,21 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
     carries the last h**2 extrapolation.  Node values are reused across
     refinements (dyadic meshes), so g is called on the 65 starting nodes and
     then once per doubling on that level's new nodes, ``s_end - u[1::2]``.
-    A non-finite level is refused: its nodes stay in every later level.
+    A level without one value per node is refused, and so is a non-finite
+    one: its nodes stay in every later level.
     """
     if s_end == 0.0:
         return 0.0
     n_cells = 64
     u, dsig = _graded_mesh(s_end, n_cells)
-    g_vals = np.asarray(g(s_end - u), dtype=float)
+    g_vals = _node_values(g(s_end - u), n_cells + 1)
     prev = _graded_abel_sum(g_vals, u, dsig, alpha)
     for _ in range(max_depth):
         n_cells *= 2
         u, dsig = _graded_mesh(s_end, n_cells)
         new_vals = np.empty(n_cells + 1)
         new_vals[0::2] = g_vals
-        new_vals[1::2] = g(s_end - u[1::2])
+        new_vals[1::2] = _node_values(g(s_end - u[1::2]), n_cells // 2)
         g_vals = new_vals
         cur = _graded_abel_sum(g_vals, u, dsig, alpha)
         if abs(cur - prev) < tol:
@@ -478,23 +479,17 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
     )
 
 
-def _abel_x(f: Callable[[np.ndarray], np.ndarray], x: float, alpha: float,
-            rho: float, a: float, tol: float = _REFERENCE_TOL,
-            max_depth: int = _REFERENCE_MAX_DEPTH) -> float:
-    """(I_rho^alpha f)(x) by :func:`_abel_mesh` in s, with ``f`` mapping an
-    array of x to values once per mesh level; 0.0 at x = a."""
-    gam = _gamma(alpha)
-    s_end = float(_s_from_x(x, a, rho))
-    return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol,
-                      max_depth) / gam
-
-
-def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
+def gfi_reference(f: Callable[[np.ndarray], np.ndarray], x: float,
+                  alpha: float, rho: float, a: float,
                   tol: float = _REFERENCE_TOL,
                   max_depth: int = _REFERENCE_MAX_DEPTH) -> float:
-    """Reference value of the fractional integral at a single point.
+    """Reference value of the fractional integral at a single point; 0.0 at
+    x = a.
 
-    ``f`` is a callable of x, called once per point with a Python float.
+    ``f`` maps an array of x to an array with one value per entry, and is
+    called once per mesh level: on the 65 starting nodes, then on each
+    doubling's new nodes.  Pass a scalar-only callable such as ``math.sin``
+    in its numpy form (``np.sin``) or wrapped, e.g. by ``np.vectorize``.
     Slow but self-validating; intended for verification (tests, study
     diagnostics), not for production solves.
     """
@@ -507,5 +502,7 @@ def gfi_reference(f: Callable, x: float, alpha: float, rho: float, a: float,
         raise ValueError(f"need x >= a, got x={x}, a={a}")
     _check_finite("tol", tol)
     _check_int("max_depth", max_depth, 1)
-    return _abel_x(lambda xs: [float(f(v)) for v in xs.tolist()], x, alpha,
-                   rho, a, tol, max_depth)
+    gam = _gamma(alpha)
+    s_end = float(_s_from_x(x, a, rho))
+    return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol,
+                      max_depth) / gam

@@ -30,9 +30,9 @@ from .fracops import (
     Grid,
     QuadratureWeights,
     SampledFunction,
-    _abel_x,
     _s_from_x,
     build_weights,
+    gfi_reference,
     make_grid,
     taylor_poly,
 )
@@ -554,10 +554,10 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     1/2, 3/4 and the end of the grid: the defect of y in the continuous
     Volterra equation, with y read as its piecewise-linear interpolant in s.
 
-    The integral comes from the adaptive reference quadrature, independent
-    of the solver's weights, at gfi_reference's default tol and depth; each
-    mesh level is one finiteness-checked rhs call, and a node probed twice
-    is integrated once.  Raises RefinementError when a probe does not converge.
+    The integral comes from :func:`gfi_reference`, independent of the
+    solver's weights, at its default tol and depth; each mesh level is one
+    finiteness-checked rhs call, and a node probed twice is integrated once.
+    Raises RefinementError when a probe does not converge.
     """
     grid = y.grid
     t = _ivp_taylor(grid, problem)
@@ -571,7 +571,7 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
                            for frac in _ORACLE_PROBES)
     worst = 0.0
     for i in probes:
-        ref = _abel_x(integrand, float(grid.x_nodes[i]), problem.alpha,
-                      grid.rho, grid.a)
+        ref = gfi_reference(integrand, float(grid.x_nodes[i]), problem.alpha,
+                            grid.rho, grid.a)
         worst = max(worst, abs(float(y.values[i]) - float(t[i]) - ref))
     return worst

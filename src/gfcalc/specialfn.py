@@ -1,5 +1,5 @@
-"""Special functions: log-gamma, Mittag-Leffler, Pochhammer, and the
-generalized Stirling triangles of the operator x**r (d/dx)**m.
+"""Special functions: log-gamma, Mittag-Leffler, and the generalized
+Stirling triangles of the operator x**r (d/dx)**m.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ __all__ = [
     "ConvergenceError",
     "gamma_ln",
     "mittag_leffler",
-    "pochhammer",
     "StirlingTable",
     "stirling_table",
     "stirling_oracle",
@@ -113,26 +112,6 @@ def mittag_leffler(alpha: float, z: float) -> float:
         f"series did not converge within {_ML_MAX_TERMS} terms "
         f"for alpha={alpha}, z={z}"
     )
-
-
-def pochhammer(lam, r: int):
-    """Rising factorial (lam)_r = lam (lam+1) ... (lam+r-1), with (lam)_0 = 1.
-
-    Integer input stays exact arbitrary-precision integer; float input is
-    evaluated as a float product and rejected on overflow.  Matches
-    Gamma(lam+r)/Gamma(lam) wherever the ratio is defined.
-    """
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ValueError(f"r must be an int, got {r!r}")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    exact = isinstance(lam, int) and not isinstance(lam, bool)
-    out = 1 if exact else 1.0
-    for j in range(r):
-        out = out * (lam + j)
-    if not exact and not math.isfinite(out):
-        raise OverflowError(f"pochhammer({lam}, {r}) overflows double precision")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,13 @@ SITES = [
     ("gfd_riemann", "alpha", True, lambda v: gfd_riemann(F, v)),
     ("gfd_caputo", "alpha", True, lambda v: gfd_caputo(F, v, (0.0,))),
     ("gfi_reference", "alpha", True,
-     lambda v: gfi_reference(math.sin, 1.0, v, 1.0, 0.0)),
+     lambda v: gfi_reference(np.sin, 1.0, v, 1.0, 0.0)),
     ("gfi_reference", "rho", True,
-     lambda v: gfi_reference(math.sin, 1.0, 0.5, v, 0.0)),
+     lambda v: gfi_reference(np.sin, 1.0, 0.5, v, 0.0)),
     ("gfi_reference", "a", False,
-     lambda v: gfi_reference(math.sin, 1.0, 0.5, 1.0, v)),
+     lambda v: gfi_reference(np.sin, 1.0, 0.5, 1.0, v)),
     ("gfi_reference", "tol", True,
-     lambda v: gfi_reference(math.sin, 1.0, 0.5, 1.0, 0.0, tol=v)),
+     lambda v: gfi_reference(np.sin, 1.0, 0.5, 1.0, 0.0, tol=v)),
     ("IVProblem", "alpha", True, lambda v: _ivp(alpha=v)),
     ("IVProblem", "rho", True, lambda v: _ivp(rho=v)),
     ("IVProblem", "h_star", True, lambda v: _ivp(h_star=v)),
@@ -140,7 +140,7 @@ INT_SITES = [
     ("SolverConfig", "n_nodes", 2, lambda v: SolverConfig(n_nodes=v)),
     ("SolverConfig", "max_iter", 1, lambda v: SolverConfig(n_nodes=65, max_iter=v)),
     ("gfi_reference", "max_depth", 1,
-     lambda v: gfi_reference(math.sin, 1.0, 0.5, 1.0, 0.0, max_depth=v)),
+     lambda v: gfi_reference(np.sin, 1.0, 0.5, 1.0, 0.0, max_depth=v)),
     ("contraction_bound", "j", 0,
      lambda v: contraction_bound(v, 1.0, 1.0, 0.5, 1.0)),
     ("stirling_table", "r", 1, lambda v: stirling_table(v, 1, 3)),

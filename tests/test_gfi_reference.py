@@ -38,15 +38,15 @@ def abel_mp(g, s_end: float, alpha: float) -> float:
 
 
 def test_zero_function():
-    assert gfi_reference(lambda x: 0.0, 1.0, 0.5, 1.0, 0.0) == 0.0
+    assert gfi_reference(np.zeros_like, 1.0, 0.5, 1.0, 0.0) == 0.0
 
 
 def test_at_left_endpoint():
-    assert gfi_reference(lambda x: math.cos(x), 0.7, 0.5, 1.3, 0.7) == 0.0
+    assert gfi_reference(np.cos, 0.7, 0.5, 1.3, 0.7) == 0.0
 
 
 def test_constant_rho_two():
-    got = gfi_reference(lambda x: 1.0, 1.0, 0.5, 2.0, 0.0, tol=1e-10)
+    got = gfi_reference(np.ones_like, 1.0, 0.5, 2.0, 0.0, tol=1e-10)
     want = math.sqrt(0.5) / math.gamma(1.5)
     assert abs(got - want) < 1e-9
     assert abs(want - 0.7978845608) < 1e-9
@@ -66,11 +66,11 @@ def test_against_substituted_quadrature(alpha, rho):
     s_end = (x**rho - a**rho) / rho
 
     def f(t):
-        return math.sin(1.3 * t) + 0.5 * t
+        return np.sin(1.3 * t) + 0.5 * t
 
     def g(sigma):
         xi = (a**rho + rho * float(sigma)) ** (1.0 / rho)
-        return f(xi)
+        return float(f(xi))
 
     got = gfi_reference(f, x, alpha, rho, a, tol=1e-11)
     want = abel_mp(g, s_end, alpha)
@@ -79,19 +79,19 @@ def test_against_substituted_quadrature(alpha, rho):
 
 def test_tolerance_is_respected():
     def f(t):
-        return math.exp(-t) * math.cos(3 * t)
+        return np.exp(-t) * np.cos(3 * t)
 
     loose = gfi_reference(f, 2.0, 0.7, 1.0, 0.0, tol=1e-6)
     tight = gfi_reference(f, 2.0, 0.7, 1.0, 0.0, tol=1e-12)
     assert abs(loose - tight) < 1e-6
-    want = abel_mp(lambda s: f(float(s)), 2.0, 0.7)
+    want = abel_mp(lambda s: float(f(float(s))), 2.0, 0.7)
     assert abs(tight - want) < 1e-11
 
 
 def test_refinement_error_carries_context():
     # one doubling allowed: a rough integrand cannot settle
     with pytest.raises(RefinementError):
-        gfi_reference(lambda x: math.sin(50.0 / (x + 0.01)), 1.0, 0.5, 1.0, 0.0,
+        gfi_reference(lambda x: np.sin(50.0 / (x + 0.01)), 1.0, 0.5, 1.0, 0.0,
                       tol=1e-14, max_depth=1)
 
 
@@ -103,7 +103,7 @@ def test_refinement_error_carries_context():
     ],
 )
 def test_parameter_validation(kwargs):
-    base = dict(f=lambda x: 1.0, x=1.0, alpha=0.5, rho=1.0, a=0.0, tol=1e-8)
+    base = dict(f=np.ones_like, x=1.0, alpha=0.5, rho=1.0, a=0.0, tol=1e-8)
     base.update(kwargs)
     with pytest.raises(ValueError):
         gfi_reference(**base)
@@ -111,7 +111,7 @@ def test_parameter_validation(kwargs):
 
 def test_x_below_a_rejected():
     with pytest.raises(ValueError):
-        gfi_reference(lambda x: 1.0, 0.5, 0.5, 1.0, 1.0)
+        gfi_reference(np.ones_like, 0.5, 0.5, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -135,7 +135,8 @@ def test_equals_per_point_mapping(a, rho):
         seen.add(type(t))
         return math.cos(3.0 * t) + t * t
 
-    got = gfi_reference(f, x, alpha, rho, a, tol=tol)
+    got = gfi_reference(lambda xs: [f(v) for v in xs.tolist()], x, alpha, rho,
+                        a, tol=tol)
     assert seen == {float}
     want = _abel_mesh(
         lambda s: [f(float(_x_from_s(v, a, rho))) for v in s.tolist()],
@@ -163,7 +164,7 @@ def test_gamma_overflow_refused_before_any_evaluation():
     def f(x):
         nonlocal calls
         calls += 1
-        return math.cos(x)
+        return np.cos(x)
 
     with pytest.raises(ValueError, match=r"^alpha = 180\.0 too large: gamma overflow$"):
         gfi_reference(f, 1.0, 180.0, 1.0, 0.0)
@@ -183,4 +184,27 @@ def test_non_finite_integrand_refused_at_first_level():
     with np.errstate(divide="ignore"):
         with pytest.raises(ValueError, match="non-finite sum on 64 cells"):
             gfi_reference(f, 1.0, 0.5, 1.0, 0.0)
-    assert calls <= 65
+    assert calls == 1
+
+
+@pytest.mark.parametrize("values,calls_wanted,message", [
+    pytest.param(lambda x: 1.0, 1, r"values have shape \(\), expected \(65,\)",
+                 id="scalar"),
+    pytest.param(lambda x: np.ones(65), 2,
+                 r"values have shape \(65,\), expected \(64,\)", id="stale-length"),
+])
+def test_integrand_without_one_value_per_node_refused(values, calls_wanted,
+                                                      message):
+    # f must map a mesh level's array of x to one value per node; a scalar,
+    # or an array of another level's length, is refused at the level it
+    # comes back for
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return values(x)
+
+    with pytest.raises(ValueError, match=message):
+        gfi_reference(f, 1.0, 0.5, 1.0, 0.0)
+    assert calls == calls_wanted

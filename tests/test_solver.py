@@ -329,8 +329,7 @@ def test_picard_reference_solution_satisfies_volterra_equation():
     h = step_h(p, estimate_M(p))
     for xq in (0.3 * h, 0.7 * h, h):
         lhs = float(ref(xq)[0])
-        integ = gfi_reference(lambda t: -float(ref(t)[0]), xq, 0.5, 1.0, 0.0,
-                              tol=1e-11)
+        integ = gfi_reference(lambda t: -ref(t), xq, 0.5, 1.0, 0.0, tol=1e-11)
         assert abs(lhs - 1.0 - integ) <= 1e-8
 
 
@@ -685,7 +684,8 @@ def _per_point_oracle(y, p):
     for frac in (0.25, 0.5, 0.75, 1.0):
         i = min(n - 1, max(1, round(frac * (n - 1))))
         x_i = float(grid.x_nodes[i])
-        ref = gfi_reference(integrand, x_i, p.alpha, grid.rho, grid.a, tol=1e-10)
+        ref = gfi_reference(lambda xs: [integrand(v) for v in xs.tolist()],
+                            x_i, p.alpha, grid.rho, grid.a, tol=1e-10)
         t_i = float(taylor_poly(p.y0, np.array([x_i]))[0])
         worst = max(worst, abs(float(y.values[i]) - t_i - ref))
     return worst
@@ -749,15 +749,15 @@ def test_oracle_residual_refuses_non_finite_rhs_at_first_level(monkeypatch):
 def test_oracle_residual_integrates_each_probe_node_once(monkeypatch):
     # at n = 3 the probes 1/4, 1/2, 3/4, 1 land on nodes 1, 1, 2, 2
     seen = []
-    abel_x = solver._abel_x
+    reference = solver.gfi_reference
 
     def counted(f, x, *args, **kwargs):
         seen.append(x)
-        return abel_x(f, x, *args, **kwargs)
+        return reference(f, x, *args, **kwargs)
 
     p = problem(alpha=0.6, y0=(0.5,), name="sin", params={})
     y, _ = solve_picard(p, SolverConfig(n_nodes=3, tol=1e-12))
-    monkeypatch.setattr(solver, "_abel_x", counted)
+    monkeypatch.setattr(solver, "gfi_reference", counted)
     got = oracle_residual(y, p)
     assert seen == [float(y.grid.x_nodes[1]), float(y.grid.x_nodes[2])]
     assert got.hex() == _per_point_oracle(y, p).hex()

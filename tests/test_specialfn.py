@@ -1,5 +1,5 @@
-"""Special functions: log-gamma, Mittag-Leffler, rising factorials, and the
-operator-expansion (generalized Stirling) triangles."""
+"""Special functions: log-gamma, Mittag-Leffler, and the operator-expansion
+(generalized Stirling) triangles."""
 
 import math
 from fractions import Fraction
@@ -15,16 +15,9 @@ from gfcalc.specialfn import (
     _two_sum,
     gamma_ln,
     mittag_leffler,
-    pochhammer,
     stirling_oracle,
     stirling_table,
 )
-
-
-def ulp_gap(got: float, want: float) -> float:
-    if got == want:
-        return 0.0
-    return abs(got - want) / np.spacing(max(abs(got), abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -117,40 +110,6 @@ def test_ml_alternating_tail_bound():
     # against a longer mpmath-free reference: alpha=1 exact exponential
     got = mittag_leffler(1.0, -2.5)
     assert abs(got - math.exp(-2.5)) < 1e-15
-
-
-# ---------------------------------------------------------------------------
-# pochhammer
-# ---------------------------------------------------------------------------
-
-def test_pochhammer_base_cases():
-    assert pochhammer(3.7, 0) == 1.0
-    assert pochhammer(5, 0) == 1
-    assert pochhammer(1, 5) == 120
-    assert pochhammer(3, 4) == 3 * 4 * 5 * 6
-
-
-def test_pochhammer_integer_stays_exact():
-    v = pochhammer(2, 30)
-    assert isinstance(v, int)
-    assert v == math.factorial(31)
-
-
-def test_pochhammer_matches_gamma_ratio():
-    for lam in (0.3, 1.7, 4.2):
-        for r in (1, 2, 5, 9):
-            want = math.exp(gamma_ln(lam + r) - gamma_ln(lam))
-            got = pochhammer(lam, r)
-            assert ulp_gap(got, want) <= 8.0 or abs(got - want) / want < 1e-14
-
-
-def test_pochhammer_validation_and_overflow():
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
-    with pytest.raises(ValueError):
-        pochhammer(1.0, 1.5)
-    with pytest.raises(OverflowError):
-        pochhammer(10.0, 400)
 
 
 # ---------------------------------------------------------------------------
