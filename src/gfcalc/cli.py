@@ -336,7 +336,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -143,16 +143,13 @@ class SampledFunction:
 
 def make_grid(a: float, b: float, rho: float, n_nodes: int) -> Grid:
     """Build a grid of ``n_nodes`` points uniform in s over [a, b]."""
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(rho)):
-        raise ValueError("a, b, rho must be finite")
-    if a < 0.0:
-        raise ValueError(f"a must be >= 0, got {a}")
+    _check_finite("a", a, strict=False)
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     if not b > a:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    if not rho > 0.0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
+    _check_finite("rho", rho)
+    _check_int("n_nodes", n_nodes, 2)
 
     s_last = float(_s_from_x(b, a, rho))
     if not (math.isfinite(s_last) and s_last > 0.0):
@@ -167,7 +164,7 @@ def make_grid(a: float, b: float, rho: float, n_nodes: int) -> Grid:
                          "parameters out of usable range")
     x_nodes.setflags(write=False)
     s_nodes.setflags(write=False)
-    return Grid(a=float(a), b=float(b), rho=float(rho), n_nodes=int(n_nodes),
+    return Grid(a=float(a), b=float(b), rho=float(rho), n_nodes=n_nodes,
                 x_nodes=x_nodes, s_nodes=s_nodes)
 
 

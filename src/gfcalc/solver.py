@@ -43,7 +43,6 @@ __all__ = [
     "make_rhs",
     "rhs_names",
     "IVProblem",
-    "ExistenceBox",
     "SolverConfig",
     "SolverReport",
     "DomainExitError",
@@ -154,14 +153,16 @@ _RHS: dict[str, _Rhs] = {
 
 @dataclass(frozen=True)
 class RightHandSide:
-    """A registered f(x, y) with optional Lipschitz bound and reference solution.
+    """A registered f(x, y) with a Lipschitz constant and an optional
+    reference solution.
 
     ``fn(x, y, problem)`` is vectorized over x and y.  ``lipschitz(problem)``
-    returns a bound for |f(x, y1) - f(x, y2)| / |y1 - y2| valid on the
-    existence box, or None.  ``exact(problem)`` returns a callable reference
-    solution of the Volterra equation, or None when unavailable.  All three
-    read the ``_RHS`` entry, which ``params`` is checked against and takes
-    its defaults from here.
+    returns a bound for |f(x, y1) - f(x, y2)| / |y1 - y2| on the existence
+    box, except for ``logistic``, whose value is an estimate: it takes the
+    range of T from 65 samples over [0, h_star].  ``exact(problem)``
+    returns a callable reference solution of the Volterra equation, or None
+    when unavailable.  All three read the ``_RHS`` entry, which ``params``
+    is checked against and takes its defaults from here.
     """
 
     name: str
@@ -189,7 +190,7 @@ class RightHandSide:
         return _RHS[self.name].fn(dict(self.params), np.asarray(x, dtype=float),
                                   np.asarray(y, dtype=float), problem)
 
-    def lipschitz(self, problem: "IVProblem") -> float | None:
+    def lipschitz(self, problem: "IVProblem") -> float:
         return _RHS[self.name].lipschitz(dict(self.params), problem)
 
     def exact(self, problem: "IVProblem"):
@@ -240,15 +241,6 @@ class IVProblem:
 
 
 @dataclass(frozen=True)
-class ExistenceBox:
-    """Lattice estimate M of sup |f| over the box, and the step h it implies."""
-
-    problem: IVProblem
-    M: float
-    h: float
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     n_nodes: int
     tol: float = 1e-10
@@ -259,10 +251,8 @@ class SolverConfig:
         _check_int("n_nodes", self.n_nodes, 2)
         _check_finite("tol", self.tol)
         _check_int("max_iter", self.max_iter, 1)
-        if self.lipschitz_L is not None and not (
-            math.isfinite(self.lipschitz_L) and self.lipschitz_L >= 0.0
-        ):
-            raise ValueError(f"lipschitz_L must be >= 0, got {self.lipschitz_L}")
+        if self.lipschitz_L is not None:
+            _check_finite("lipschitz_L", self.lipschitz_L, strict=False)
 
 
 @dataclass(frozen=True)
@@ -311,9 +301,11 @@ def step_h(problem: IVProblem, M: float) -> float:
     return min(problem.h_star, cap)
 
 
-def existence_box(problem: IVProblem) -> ExistenceBox:
+def existence_box(problem: IVProblem) -> tuple[float, float]:
+    """(M, h): the lattice estimate of sup |f| over the box, and the step it
+    implies."""
     M = estimate_M(problem)
-    return ExistenceBox(problem=problem, M=M, h=step_h(problem, M))
+    return M, step_h(problem, M)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +350,10 @@ def picard_apply(y: SampledFunction, problem: IVProblem,
 
 
 def _solver_setup(problem: IVProblem, config: SolverConfig):
-    box = existence_box(problem)
-    grid = make_grid(0.0, box.h, problem.rho, config.n_nodes)
+    M, h = existence_box(problem)
+    grid = make_grid(0.0, h, problem.rho, config.n_nodes)
     weights = build_weights(grid, problem.alpha)
-    return box, grid, weights, _ivp_taylor(grid, problem)
+    return M, h, grid, weights, _ivp_taylor(grid, problem)
 
 
 def _omega_array(L: float | None, count: int, h: float, alpha: float,
@@ -387,7 +379,7 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     compensated sum; ``report.fft_iterations`` counts the leading deltas
     that came from the FFT path.
     """
-    box, grid, weights, t = _solver_setup(problem, config)
+    M, h, grid, weights, t = _solver_setup(problem, config)
     y = t.copy()
     deltas = []
     fft_iterations = 0
@@ -411,12 +403,12 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
             break
     solution = SampledFunction(grid, y)
     report = SolverReport(
-        h_used=box.h,
-        M=box.M,
+        h_used=h,
+        M=M,
         iterations=len(deltas),
         fft_iterations=fft_iterations,
         deltas=np.array(deltas),
-        omega_bounds=_omega_array(config.lipschitz_L, len(deltas), box.h,
+        omega_bounds=_omega_array(config.lipschitz_L, len(deltas), h,
                                   problem.alpha, problem.rho),
         residual=volterra_residual(solution, problem, weights),
         converged=converged,
@@ -454,7 +446,7 @@ def _march_node(b: float, w_nn: float, f_scalar, u0: float, tol: float,
 
 def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
     """Independent node-by-node solve of the same discrete Volterra system."""
-    box, grid, weights, t = _solver_setup(problem, config)
+    _, _, grid, weights, t = _solver_setup(problem, config)
     n = grid.n_nodes
     x = grid.x_nodes
     y = np.empty(n)

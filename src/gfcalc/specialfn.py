@@ -160,18 +160,14 @@ class StirlingTable:
         return self.rows[n][k - 1]
 
 
-def _validate_rm(r: int, m: int) -> None:
-    _check_int("r", r, 1)
-    _check_int("m", m, 1)
-
-
 def stirling_table(r: int, m: int, max_n: int) -> StirlingTable:
     """Triangle of operator-expansion coefficients, built by the one-step
     transition: applying x**r D**m to a term x**e D**f scatters it to
     (e + r - i, f + m - i) with coefficient C(m, i) * e!/(e-i)!, i = 0..m.
     All arithmetic is exact.
     """
-    _validate_rm(r, m)
+    _check_int("r", r, 1)
+    _check_int("m", m, 1)
     _check_int("max_n", max_n, 0)
 
     rows = [(1,)]
@@ -213,7 +209,8 @@ def stirling_oracle(r: int, m: int, n: int) -> list:
     :func:`stirling_table`; used to validate it.  Limited to small instances
     (r, m <= %d, n <= %d).
     """ % (_ORACLE_MAX_RM, _ORACLE_MAX_N)
-    _validate_rm(r, m)
+    _check_int("r", r, 1)
+    _check_int("m", m, 1)
     _check_int("n", n, 0)
     if r > _ORACLE_MAX_RM or m > _ORACLE_MAX_RM or n > _ORACLE_MAX_N:
         raise ValueError(

@@ -1,7 +1,7 @@
 """The package surface: what ``gfcalc`` exports, and the exact wording of the
-finite-value checks on the paper's hypotheses (alpha, rho > 0, a box of
-half-width K > 0 over [0, h_star], M >= 0, L >= 0) and of the integer-count
-checks (grid sizes, iteration caps, Stirling indices)."""
+finite-value checks on the paper's hypotheses (alpha, rho > 0, a >= 0, a box
+of half-width K > 0 over [0, h_star], M >= 0, L >= 0) and of the
+integer-count checks (grid sizes, iteration caps, Stirling indices)."""
 
 import math
 from pathlib import Path
@@ -75,6 +75,8 @@ def _ivp(**kw):
 
 # (site, checked name, strict: > 0 rather than >= 0, call with the bad value)
 SITES = [
+    ("make_grid", "a", False, lambda v: make_grid(v, 2.0, 1.0, 5)),
+    ("make_grid", "rho", True, lambda v: make_grid(0.0, 1.0, v, 5)),
     ("build_weights", "alpha", True, lambda v: build_weights(GRID, v)),
     ("gfd_riemann", "alpha", True, lambda v: gfd_riemann(F, v)),
     ("gfd_caputo", "alpha", True, lambda v: gfd_caputo(F, v, (0.0,))),
@@ -91,6 +93,8 @@ SITES = [
     ("IVProblem", "h_star", True, lambda v: _ivp(h_star=v)),
     ("IVProblem", "K", True, lambda v: _ivp(K=v)),
     ("SolverConfig", "tol", True, lambda v: SolverConfig(n_nodes=65, tol=v)),
+    ("SolverConfig", "lipschitz_L", False,
+     lambda v: SolverConfig(n_nodes=65, lipschitz_L=v)),
     ("step_h", "M", False, lambda v: step_h(_ivp(), v)),
     ("contraction_bound", "L", False,
      lambda v: contraction_bound(1, v, 1.0, 0.5, 1.0)),
@@ -137,6 +141,7 @@ def test_nonstrict_check_accepts_zero(call):
 
 # (site, checked name, minimum, call with the bad value)
 INT_SITES = [
+    ("make_grid", "n_nodes", 2, lambda v: make_grid(0.0, 1.0, 1.0, v)),
     ("SolverConfig", "n_nodes", 2, lambda v: SolverConfig(n_nodes=v)),
     ("SolverConfig", "max_iter", 1, lambda v: SolverConfig(n_nodes=65, max_iter=v)),
     ("gfi_reference", "max_depth", 1,

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from gfcalc import cli
 from gfcalc.cli import main, read_xy_csv
+from gfcalc.fracops import RefinementError
 from gfcalc.solver import SolverConfig, solve_picard
 from gfcalc.problemfile import load_problem
 
@@ -225,6 +227,10 @@ def test_operator_init_only_for_caputo(tmp_path, capsys):
                                 "--rho", "1.0", "--a", "0"])
     assert code == 1
     assert "--init" in err
+    code, _, err = run(capsys, ["operator", "caputo", src, "--alpha", "0.5",
+                                "--rho", "1.0", "--a", "0", "--init", "1,x"])
+    assert code == 1
+    assert "--init: expected comma-separated numbers, got '1,x'" in err
 
 
 def test_operator_rejects_bad_csv(tmp_path, capsys):
@@ -243,6 +249,20 @@ def test_operator_rejects_bad_csv(tmp_path, capsys):
     assert run(capsys, ["operator", "integral", str(short)] + args)[0] == 1
 
     assert run(capsys, ["operator", "integral", str(tmp_path / "no.csv")] + args)[0] == 1
+
+    # each refusal names the file and the line; comment lines count
+    for name, text, where in [
+        ("row.csv", "x,f\n0.0,1.0\n0.5\n", ":3: expected two comma-separated values"),
+        ("num.csv", "x,f\n0.0,1.0\n0.5,abc\n", ":3: could not parse numbers"),
+        ("inf.csv", "x,f\n0.0,1.0\n0.5,inf\n", ":3: non-finite value"),
+        ("empty.csv", "# no data\n\n", ": no header line found"),
+        ("partial.csv", "# PARTIAL\nx,y\n0.0,1.0\n0.5\n",
+         ":4: expected two comma-separated values"),
+    ]:
+        path = write(tmp_path / name, text)
+        code, _, err = run(capsys, ["operator", "integral", path] + args)
+        assert code == 1
+        assert err.startswith(f"error: {path}{where}"), err
 
 
 def test_operator_data_must_cover_left_endpoint(tmp_path, capsys):
@@ -333,6 +353,22 @@ solver.tol = 1e-11
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert math.isnan(float(rows[-1][1]))
     assert float(rows[0][1]) > float(rows[1][1]) > 0.0
+
+
+def test_study_reports_an_oracle_refusal(tmp_path, capsys, monkeypatch):
+    reason = "no convergence to tol = 1e-10 within 16 mesh doublings (4194304 cells)"
+
+    def refuse(y, problem):
+        raise RefinementError(reason)
+
+    monkeypatch.setattr(cli, "oracle_residual", refuse)
+    prob = write(tmp_path / "zero.prob", ZERO_PROB)
+    code, out, err = run(capsys, ["study", prob, "--resolutions", "17,33"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n_nodes,sup_error,observed_order"
+    assert [line.split(",")[0] for line in lines[1:]] == ["17", "33"]
+    assert err == f"oracle_residual: nan  # {reason}\n"
 
 
 def test_study_resolution_validation(tmp_path, capsys):

@@ -61,7 +61,8 @@ def test_same_layout():
 @pytest.mark.parametrize(
     "a,b,rho,n",
     [(1.0, 1.0, 1.0, 5), (2.0, 1.0, 1.0, 5), (0.0, 1.0, 0.0, 5),
-     (0.0, 1.0, -1.0, 5), (0.0, 1.0, 1.0, 1), (-0.5, 1.0, 1.0, 5)],
+     (0.0, 1.0, -1.0, 5), (0.0, 1.0, 1.0, 1), (-0.5, 1.0, 1.0, 5),
+     (0.0, math.inf, 1.0, 5), (0.0, math.nan, 1.0, 5)],
 )
 def test_make_grid_rejects_bad_parameters(a, b, rho, n):
     with pytest.raises(ValueError):

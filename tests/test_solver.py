@@ -18,6 +18,7 @@ from gfcalc.fracops import (
 from gfcalc.solver import (
     DomainExitError,
     IVProblem,
+    MarchingError,
     NonConvergenceError,
     RightHandSide,
     SolverConfig,
@@ -121,10 +122,7 @@ def test_step_h_validation():
 
 def test_existence_box_fields():
     p = problem()
-    box = existence_box(p)
-    assert box.M == 2.0
-    assert box.h == step_h(p, 2.0)
-    assert box.problem is p
+    assert existence_box(p) == (2.0, step_h(p, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +400,7 @@ def test_picard_nonconvergence_carries_partial_result():
 
 def compensated_picard(p, cfg):
     """Picard iteration with the compensated apply on every iterate."""
-    grid = make_grid(0.0, existence_box(p).h, p.rho, cfg.n_nodes)
+    grid = make_grid(0.0, existence_box(p)[1], p.rho, cfg.n_nodes)
     w = build_weights(grid, p.alpha)
     t = taylor_poly(p.y0, grid.x_nodes)
     y = t
@@ -581,6 +579,24 @@ def test_marching_rhs_calls_per_node(monkeypatch, name, params):
     n = 1025
     solve_marching(problem(name=name, params=params), SolverConfig(n_nodes=n, tol=1e-12))
     assert calls <= 8 * (n - 1)
+
+
+def test_march_node_refuses_an_equation_without_solution():
+    # u = 1 + u: the residual stays 1, so every step is a plain one and the
+    # iterate only drifts
+    calls = 0
+
+    def f_scalar(u):
+        nonlocal calls
+        calls += 1
+        return u
+
+    with pytest.raises(MarchingError) as info:
+        solver._march_node(1.0, 1.0, f_scalar, 0.0, 1e-12, 7)
+    assert info.value.node == 7
+    assert str(info.value) == (
+        "node solve did not converge at node 7 within 100 iterations")
+    assert calls == 100
 
 
 def test_marching_weight_memory_is_linear():
