@@ -45,6 +45,10 @@ __all__ = [
 
 _REFERENCE_TOL = 1e-10     # gfi_reference and the study oracle, by default
 _REFERENCE_MAX_DEPTH = 16
+# apply_exact splits weights and values into at most this many integer slices
+# each; values that need more (a dynamic range above about 6 beta - 53 bits)
+# take the compensated apply instead
+_SLICE_CAP = 6
 
 
 class RefinementError(RuntimeError):
@@ -221,6 +225,30 @@ def _ramp_moments(alpha: float, m_max: int):
     return p, q
 
 
+def _int_slices(x: np.ndarray, beta: int):
+    """Split x error-free into integer-valued slices of at most beta bits.
+
+    Returns (e, slices) with x == sum_k slices[k] * 2**(e - beta*(k+1))
+    exactly and |slices[k]| <= 2**beta, or None when that takes more than
+    ``_SLICE_CAP`` slices or a splitting constant leaves the normal range.
+    Slice k is the rest rounded to a multiple of 2**unit by adding and
+    subtracting sigma = 1.5 * 2**(unit + 52), whose ulp is 2**unit (Rump,
+    Ogita & Oishi's ExtractScalar); the rest stays exact.
+    """
+    e = math.frexp(float(np.max(np.abs(x))))[1]    # max |x| < 2**e
+    slices = []
+    rest = x
+    while np.any(rest):
+        unit = e - beta * (len(slices) + 1)
+        if len(slices) == _SLICE_CAP or not -1022 <= unit + 52 <= 1022:
+            return None
+        sigma = 1.5 * 2.0 ** (unit + 52)
+        top = (rest + sigma) - sigma
+        rest = rest - top
+        slices.append(np.ldexp(top, -unit))
+    return e, slices
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureWeights:
     """Lower-triangular weights w[n][j] such that, for g sampled in s,
@@ -265,6 +293,65 @@ class QuadratureWeights:
         out[0] = 0.0
         return out
 
+    def apply_exact(self, values: np.ndarray) -> np.ndarray:
+        """The sum of :meth:`apply` in O(n log n), each node within about an
+        ulp of the exact sum of stored weight times value; node 0 is exactly 0.
+
+        The weights and the values are split error-free into integer slices
+        of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012);
+        column 0 is split with the band.  beta keeps every level's integer
+        sum below 2**45 (cap * n * 2**(2 beta)), so the FFT convolutions, at
+        :meth:`apply_fft`'s length, round back to exact integers.  Level s
+        collects the slice pairs p + q = s, one inverse FFT each, and the
+        levels, exact and largest first, are added by a TwoSum chain with a
+        second accumulator.  That adds them as if in twice the working
+        precision, so only a node whose sum cancels to below about 1e-13 of
+        its largest level can be off by more than an ulp.
+
+        Falls back to :meth:`apply` when exactness cannot be shown: values
+        that are not finite; a range that needs more than ``_SLICE_CAP``
+        slices; splitting constants or levels outside the normal range (as
+        for values above about 1e296); or an FFT output more than 1/8 from an
+        integer.
+        """
+        n = self.grid.n_nodes
+        vals = _node_values(values, n)
+        beta = (45 - (_SLICE_CAP * n).bit_length()) // 2
+        split_w = _int_slices(np.concatenate((self.first, self.band)), beta)
+        split_v = _int_slices(vals, beta) if np.all(np.isfinite(vals)) else None
+        if split_w is None or split_v is None:
+            return self.apply(vals)
+        (e_w, w_slices), (e_v, v_slices) = split_w, split_v
+        if not v_slices:
+            return np.zeros(n)
+        levels = len(w_slices) + len(v_slices) - 1
+        scale = e_w + e_v - 2 * beta     # level s counts 2**(scale - beta s)
+        if (scale - beta * (levels - 1) < -1022
+                or e_w + e_v + (2 * n).bit_length() > 1023):
+            return self.apply(vals)
+        size = 1 << (2 * n - 4).bit_length()
+        w_spectra = [np.fft.rfft(s[n:], size) for s in w_slices]
+        v_spectra = [np.fft.rfft(s[1:], size) for s in v_slices]
+        for level in range(levels):
+            pairs = [(p, level - p) for p in range(len(w_slices))
+                     if 0 <= level - p < len(v_slices)]
+            conv = np.fft.irfft(sum(w_spectra[p] * v_spectra[q] for p, q in pairs),
+                                size)[:n - 1]
+            ints = np.rint(conv)
+            if np.any(np.abs(conv - ints) > 0.125):
+                return self.apply(vals)
+            total = sum(w_slices[p][:n] * v_slices[q][0] for p, q in pairs)
+            total[1:] += ints
+            part = np.ldexp(total, scale - beta * level)
+            if level == 0:
+                acc, comp = part, np.zeros(n)
+            else:
+                acc, err = _two_sum(acc, part)
+                comp += err
+        out = acc + comp
+        out[0] = 0.0
+        return out
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Evaluate the quadrature at every node; node 0 is exactly 0.
 
@@ -272,9 +359,13 @@ class QuadratureWeights:
         order, and the exact rounding error of each addition (TwoSum) is
         carried in a second accumulator; column j updates only rows j..n-1,
         the lower triangle.  The order is fixed and serial arithmetic only,
-        so results never depend on thread count, and the compensation keeps
-        each node's sum within ~1 ulp of the rounded weights' exact sum
-        regardless of grid length.
+        so results never depend on thread count.  The compensation removes
+        the error of the additions regardless of grid length, but each
+        product w * v is rounded before it is added: a node is within ~1 ulp
+        of the exact sum of stored weight times value only when its terms do
+        not cancel, and otherwise within about an ulp of sum |w| |v| (tens of
+        ulp of the node's value on signed data).  :meth:`apply_exact` is
+        within an ulp in both cases.
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)

@@ -107,6 +107,9 @@ def _linear_exact(p: dict, problem: "IVProblem"):
 
 def _power_forcing_fn(p: dict, x, y, problem: "IVProblem"):
     beta, c, alpha, rho = p["beta"], p["c"], problem.alpha, problem.rho
+    if not beta + 1.0 - alpha > 0.0:
+        raise ValueError(f"power_forcing needs beta + 1 - alpha > 0, "
+                         f"got beta = {beta!r}, alpha = {alpha!r}")
     scale = c * math.exp(gamma_ln(beta + 1.0) - gamma_ln(beta + 1.0 - alpha))
     return scale * np.power(_s_from_x(x, 0.0, rho), beta - alpha) + 0.0 * y
 
@@ -342,11 +345,12 @@ def _ivp_taylor(grid: Grid, problem: IVProblem,
 
 def picard_apply(y: SampledFunction, problem: IVProblem,
                  weights: QuadratureWeights) -> SampledFunction:
-    """One application of the integral operator: T + I^alpha f(., y)."""
+    """One application of the integral operator: T + I^alpha f(., y), with
+    the history sum from ``QuadratureWeights.apply_exact``."""
     t = _ivp_taylor(y.grid, problem, weights)
     _check_in_box(y.values, t, problem.K, "iterate")
     fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
-    return SampledFunction(y.grid, t + weights.apply(fvals))
+    return SampledFunction(y.grid, t + weights.apply_exact(fvals))
 
 
 def _solver_setup(problem: IVProblem, config: SolverConfig):
@@ -373,11 +377,12 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     the O(n log n) FFT convolution (``QuadratureWeights.apply_fft``).  The
     first iteration whose update is <= tol, is no smaller than the one
     before (the FFT rounding floor), or is the last that max_iter allows is
-    redone from the same rhs values with the compensated ``apply``, and so
-    is every iteration after it.  The returned iterate, the partial one of
-    NonConvergenceError and the residual therefore all come from the
-    compensated sum; ``report.fft_iterations`` counts the leading deltas
-    that came from the FFT path.
+    redone from the same rhs values with the exact sum
+    (``QuadratureWeights.apply_exact``, also O(n log n)), and so is every
+    iteration after it.  The returned iterate, the partial one of
+    NonConvergenceError and the residual therefore all come from the exact
+    sum; ``report.fft_iterations`` counts the leading deltas that came from
+    the uncompensated FFT path.
     """
     M, h, grid, weights, t = _solver_setup(problem, config)
     y = t.copy()
@@ -388,10 +393,10 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
         fvals = _eval_rhs(problem, grid.x_nodes, y)
         # every iteration so far took the FFT path, and this is not the last
         fft = fft_iterations == k and k + 1 < config.max_iter
-        y_next = t + (weights.apply_fft if fft else weights.apply)(fvals)
+        y_next = t + (weights.apply_fft if fft else weights.apply_exact)(fvals)
         delta = float(np.max(np.abs(y_next - y)))
         if fft and (delta <= config.tol or (deltas and delta >= deltas[-1])):
-            y_next = t + weights.apply(fvals)
+            y_next = t + weights.apply_exact(fvals)
             delta = float(np.max(np.abs(y_next - y)))
         elif fft:
             fft_iterations += 1
@@ -515,13 +520,15 @@ def holder_bound(x1: float, x2: float, M: float, alpha: float, rho: float) -> fl
 def volterra_residual(y: SampledFunction, problem: IVProblem,
                       weights: QuadratureWeights | None = None) -> float:
     """sup_n | y_n - T(x_n) - (I^alpha f(., y))_n |, the defect of y in the
-    discrete Volterra equation.  Pure measurement; never raises on box exit.
+    discrete Volterra equation, with the history sum from
+    ``QuadratureWeights.apply_exact``.  Pure measurement; never raises on
+    box exit.
     """
     if weights is None:
         weights = build_weights(y.grid, problem.alpha)
     t = _ivp_taylor(y.grid, problem, weights)
     fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
-    return float(np.max(np.abs(y.values - t - weights.apply(fvals))))
+    return float(np.max(np.abs(y.values - t - weights.apply_exact(fvals))))
 
 
 def contraction_respected(report: SolverReport) -> bool:

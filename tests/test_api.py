@@ -181,7 +181,8 @@ WEIGHTS = build_weights(GRID, 0.5)
     lambda v: SampledFunction(GRID, v),
     WEIGHTS.apply,
     WEIGHTS.apply_fft,
-], ids=["SampledFunction", "apply", "apply_fft"])
+    WEIGHTS.apply_exact,
+], ids=["SampledFunction", "apply", "apply_fft", "apply_exact"])
 @pytest.mark.parametrize("bad", [np.ones(4), np.ones((5, 1)), 1.0])
 def test_node_values_shape_message(call, bad):
     with pytest.raises(ValueError) as info:

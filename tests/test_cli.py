@@ -161,6 +161,17 @@ def test_solve_bad_problem_file(tmp_path, capsys):
     assert "problem.alpha" in err
 
 
+def test_solve_power_forcing_refuses_beta_below_alpha_minus_one(tmp_path, capsys):
+    text = (LIN_PROB.replace("problem.rhs = linear", "problem.rhs = power_forcing")
+            .replace("problem.rhs.lambda = -1.0", "problem.rhs.beta = -0.5")
+            .replace("problem.alpha = 0.5", "problem.alpha = 0.9"))
+    prob = write(tmp_path / "forcing.prob", text)
+    code, _, err = run(capsys, ["solve", prob, "-o", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert err == ("error: power_forcing needs beta + 1 - alpha > 0, "
+                   "got beta = -0.5, alpha = 0.9\n")
+
+
 # ---------------------------------------------------------------------------
 # operator
 # ---------------------------------------------------------------------------

@@ -433,20 +433,23 @@ def test_picard_fft_phase_keeps_compensated_iterations(name, params, alpha, rho,
 
 
 def test_picard_converged_solve_makes_two_compensated_applies(monkeypatch):
-    # the converging iteration and the residual; the iterations before it
-    # take the FFT path
-    calls = 0
-    apply = QuadratureWeights.apply
+    # the converging iteration and the residual take the exact sum; the
+    # iterations before it take the FFT path, and nothing falls back to apply
+    calls = {"apply": 0, "apply_exact": 0}
 
-    def counted(self, values):
-        nonlocal calls
-        calls += 1
-        return apply(self, values)
+    def counting(name):
+        method = getattr(QuadratureWeights, name)
 
-    monkeypatch.setattr(QuadratureWeights, "apply", counted)
+        def counted(self, values):
+            calls[name] += 1
+            return method(self, values)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(QuadratureWeights, name, counting(name))
     _, rep = solve_picard(problem(), SolverConfig(n_nodes=257, tol=1e-12))
     assert rep.converged and rep.iterations > 2
-    assert calls == 2
+    assert calls == {"apply": 0, "apply_exact": 2}
 
 
 def test_picard_fft_phase_stops_before_the_last_allowed_iteration():

@@ -6,12 +6,14 @@ The mpmath comparisons build the classical product-trapezoid weights from
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from gfcalc.fracops import SampledFunction, build_weights, make_grid
+from gfcalc.fracops import (QuadratureWeights, SampledFunction, build_weights,
+                            make_grid)
 
 
 def dense(weights) -> np.ndarray:
@@ -157,6 +159,19 @@ def test_build_weights_memory_is_linear():
     assert peak < 1_000_000
 
 
+def test_apply_exact_memory_is_linear():
+    # the slice spectra take about 9 * 16 (n + 1) bytes at n = 4097
+    w = build_weights(make_grid(0.0, 1.0, 1.0, 4097), 0.5)
+    vals = np.random.default_rng(1).standard_normal(4097)
+    tracemalloc.start()
+    try:
+        w.apply_exact(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def dense_neumaier_apply(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Reference: column-by-column Neumaier sweep over the dense matrix."""
     n = vals.shape[0]
@@ -232,3 +247,64 @@ def test_apply_fft_matches_apply(alpha, rho):
             scale = float(np.max(w.apply(np.abs(vals))))
             assert got[0] == 0.0
             assert np.max(np.abs(got - w.apply(vals))) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.6])
+@pytest.mark.parametrize("n", [2, 3, 33, 257])
+def test_apply_exact_within_an_ulp_of_the_exact_sum(alpha, n):
+    # exact rational sums of stored weight times value; apply itself is off
+    # by tens of ulp on the signed inputs, as it sums rounded products
+    w = build_weights(make_grid(0.0, 1.4, 1.0, n), alpha)
+    rng = np.random.default_rng(n)
+    inputs = {"normal": rng.standard_normal(n),
+              "uniform": rng.uniform(0.5, 2.0, n),
+              "wide": rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n))}
+    for kind, vals in inputs.items():
+        got = w.apply_exact(vals)
+        assert got[0] == 0.0 and not np.signbit(got[0]), kind
+        assert w.apply_exact(vals).tobytes() == got.tobytes(), kind
+        exact_vals = [Fraction(float(v)) for v in vals]
+        for i in range(1, n):
+            exact = sum(Fraction(float(wij)) * vj
+                        for wij, vj in zip(w.row(i), exact_vals))
+            ulp = Fraction(float(np.spacing(abs(float(exact)))))
+            assert abs(Fraction(float(got[i])) - exact) <= ulp, (kind, i)
+
+
+@pytest.mark.parametrize("alpha,rho,n", [
+    (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
+    (0.25, 2.0, 1025),
+])
+def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
+    # the byte gate's growing and huge inputs: too many slices for the one,
+    # a splitting constant past the overflow threshold for the other
+    w = build_weights(make_grid(0.0, 1.4, rho, n), alpha)
+    rng = np.random.default_rng(n)
+    inputs = {
+        "growing": np.geomspace(1e-150, 1e150, n) * (-1.0) ** np.arange(n),
+        "huge": np.where(rng.random(n) < 0.5, -1e300, 1e300),
+        "nan": np.where(np.arange(n) == n // 2, np.nan, 1.0),
+    }
+    wants = {kind: w.apply(vals).tobytes() for kind, vals in inputs.items()}
+    calls = 0
+    apply = QuadratureWeights.apply
+
+    def counted(self, values):
+        nonlocal calls
+        calls += 1
+        return apply(self, values)
+
+    monkeypatch.setattr(QuadratureWeights, "apply", counted)
+    for kind, vals in inputs.items():
+        assert w.apply_exact(vals).tobytes() == wants[kind], kind
+    assert calls == len(inputs)
+
+
+def test_apply_exact_falls_back_when_an_fft_output_is_off_an_integer(monkeypatch):
+    w = build_weights(make_grid(0.0, 1.0, 1.0, 33), 1.6)
+    vals = np.random.default_rng(33).standard_normal(33)
+    want = w.apply(vals).tobytes()
+    assert w.apply_exact(vals).tobytes() != want
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.25)
+    assert w.apply_exact(vals).tobytes() == want
