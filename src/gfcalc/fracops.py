@@ -45,10 +45,10 @@ __all__ = [
 
 _REFERENCE_TOL = 1e-10     # gfi_reference and the study oracle, by default
 _REFERENCE_MAX_DEPTH = 16
-# apply_exact splits weights and values into at most this many integer slices
-# each; values that need more (a dynamic range above about 6 beta - 53 bits)
-# take the compensated apply instead
-_SLICE_CAP = 6
+# apply_exact's slice caps; a level holds at most _WEIGHT_SLICES slice pairs,
+# so only that cap sets beta, and values may take more slices than weights
+_WEIGHT_SLICES = 6
+_VALUE_SLICES = 12
 
 
 class RefinementError(RuntimeError):
@@ -225,12 +225,12 @@ def _ramp_moments(alpha: float, m_max: int):
     return p, q
 
 
-def _int_slices(x: np.ndarray, beta: int):
+def _int_slices(x: np.ndarray, beta: int, cap: int):
     """Split x error-free into integer-valued slices of at most beta bits.
 
     Returns (e, slices) with x == sum_k slices[k] * 2**(e - beta*(k+1))
     exactly and |slices[k]| <= 2**beta, or None when that takes more than
-    ``_SLICE_CAP`` slices or a splitting constant leaves the normal range.
+    ``cap`` slices or a splitting constant leaves the normal range.
     Slice k is the rest rounded to a multiple of 2**unit by adding and
     subtracting sigma = 1.5 * 2**(unit + 52), whose ulp is 2**unit (Rump,
     Ogita & Oishi's ExtractScalar); the rest stays exact.
@@ -240,7 +240,7 @@ def _int_slices(x: np.ndarray, beta: int):
     rest = x
     while np.any(rest):
         unit = e - beta * (len(slices) + 1)
-        if len(slices) == _SLICE_CAP or not -1022 <= unit + 52 <= 1022:
+        if len(slices) == cap or not -1022 <= unit + 52 <= 1022:
             return None
         sigma = 1.5 * 2.0 ** (unit + 52)
         top = (rest + sigma) - sigma
@@ -294,31 +294,41 @@ class QuadratureWeights:
         return out
 
     def apply_exact(self, values: np.ndarray) -> np.ndarray:
-        """The sum of :meth:`apply` in O(n log n), each node within about an
-        ulp of the exact sum of stored weight times value; node 0 is exactly 0.
+        """The library's history sum W v in O(n log n), each node within
+        about an ulp of the exact sum of stored weight times value; node 0 is
+        exactly 0.  :func:`gfi_apply`, and through it the derivatives, and the
+        Picard solver all take their sums from here.
 
         The weights and the values are split error-free into integer slices
         of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012);
-        column 0 is split with the band.  beta keeps every level's integer
-        sum below 2**45 (cap * n * 2**(2 beta)), so the FFT convolutions, at
-        :meth:`apply_fft`'s length, round back to exact integers.  Level s
-        collects the slice pairs p + q = s, one inverse FFT each, and the
-        levels, exact and largest first, are added by a TwoSum chain with a
-        second accumulator.  That adds them as if in twice the working
-        precision, so only a node whose sum cancels to below about 1e-13 of
-        its largest level can be off by more than an ulp.
+        column 0 is split with the band.  A level holds at most
+        ``_WEIGHT_SLICES`` slice pairs, so beta keeps every level's integer
+        sum below 2**45 (``_WEIGHT_SLICES`` * n * 2**(2 beta)), and the FFT
+        convolutions, at :meth:`apply_fft`'s length, round back to exact
+        integers; beta is 17 at n = 257, 16 at 1025, 15 at 4097 and 14 at
+        16385.  Level s collects the slice pairs p + q = s, one inverse FFT
+        each, and the levels, exact and largest first, are added by a TwoSum
+        chain with a second accumulator.  That adds them as if in twice the
+        working precision, so only a node whose sum cancels to below about
+        1e-13 of its largest level can be off by more than an ulp.
 
         Falls back to :meth:`apply` when exactness cannot be shown: values
-        that are not finite; a range that needs more than ``_SLICE_CAP``
-        slices; splitting constants or levels outside the normal range (as
-        for values above about 1e296); or an FFT output more than 1/8 from an
-        integer.
+        that are not finite; weights that need more than ``_WEIGHT_SLICES``
+        slices (from order alpha about 4.9 at n = 1025, 3.8 at 4097 and 3.3
+        at 16385); values that need more than ``_VALUE_SLICES``, which with
+        full 53-bit mantissas means a largest |value| above about
+        2**(12 beta - 53) times the smallest nonzero one (2**139 at n = 1025,
+        2**127 at 4097, 2**115 at 16385); splitting constants or levels
+        outside the normal range (as for values above about 1e296); or an FFT
+        output more than 1/8 from an integer.
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)
-        beta = (45 - (_SLICE_CAP * n).bit_length()) // 2
-        split_w = _int_slices(np.concatenate((self.first, self.band)), beta)
-        split_v = _int_slices(vals, beta) if np.all(np.isfinite(vals)) else None
+        beta = (45 - (_WEIGHT_SLICES * n).bit_length()) // 2
+        split_w = _int_slices(np.concatenate((self.first, self.band)), beta,
+                              _WEIGHT_SLICES)
+        split_v = (_int_slices(vals, beta, _VALUE_SLICES)
+                   if np.all(np.isfinite(vals)) else None)
         if split_w is None or split_v is None:
             return self.apply(vals)
         (e_w, w_slices), (e_v, v_slices) = split_w, split_v
@@ -353,7 +363,10 @@ class QuadratureWeights:
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate the quadrature at every node; node 0 is exactly 0.
+        """Evaluate the quadrature at every node in O(n**2); node 0 is exactly
+        0.  The compensated reference that :meth:`apply_exact` and
+        :meth:`apply_fft` are tested against, and :meth:`apply_exact`'s last
+        resort for inputs it cannot sum exactly; no operator calls it.
 
         All rows are accumulated together, one column at a time in index
         order, and the exact rounding error of each addition (TwoSum) is
@@ -403,9 +416,25 @@ def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
 # operators
 # ---------------------------------------------------------------------------
 
+def _finite_result(f: SampledFunction, vals: np.ndarray,
+                   what: str) -> SampledFunction:
+    """``vals`` on f's grid; computed from finite f, a non-finite entry can
+    only be an overflow, refused as such."""
+    if not np.all(np.isfinite(vals)):
+        raise OverflowError(f"{what} is not finite")
+    return SampledFunction(f.grid, vals)
+
+
 def gfi_apply(f: SampledFunction, alpha: float) -> SampledFunction:
-    """Fractional integral of order ``alpha`` of ``f`` at every grid node."""
-    return SampledFunction(f.grid, build_weights(f.grid, alpha).apply(f.values))
+    """Fractional integral of order ``alpha`` of ``f`` at every grid node.
+
+    The weighted sum is :meth:`QuadratureWeights.apply_exact`, within
+    about an ulp of the exact sum of stored weight times value.  A result
+    that overflows raises ``OverflowError``.
+    """
+    with np.errstate(all="ignore"):
+        vals = build_weights(f.grid, alpha).apply_exact(f.values)
+    return _finite_result(f, vals, f"fractional integral of order {alpha}")
 
 
 def _deriv_s(values: np.ndarray, ds: float) -> np.ndarray:
@@ -424,7 +453,8 @@ def gfd_riemann(f: SampledFunction, alpha: float) -> SampledFunction:
 
     Integer alpha short-circuits to the plain n-th s-derivative.  Values at
     the first node rely on one-sided stencils of a weakly singular profile
-    and carry low confidence; refine or read interior nodes instead.
+    and carry low confidence; refine or read interior nodes instead.  A
+    result that overflows raises ``OverflowError``.
     """
     _check_finite("alpha", alpha)
     norder = math.ceil(alpha)
@@ -435,16 +465,18 @@ def gfd_riemann(f: SampledFunction, alpha: float) -> SampledFunction:
     frac = norder - alpha
     vals = f.values if frac == 0.0 else gfi_apply(f, frac).values
     ds = f.grid.ds
-    for _ in range(norder):
-        vals = _deriv_s(vals, ds)
-    return SampledFunction(f.grid, vals)
+    with np.errstate(all="ignore"):
+        for _ in range(norder):
+            vals = _deriv_s(vals, ds)
+    return _finite_result(f, vals, f"fractional derivative of order {alpha}")
 
 
 def gfd_caputo(f: SampledFunction, alpha: float, init) -> SampledFunction:
     """Caputo-type derivative: the order-``alpha`` derivative of f minus its
     degree n-1 Taylor polynomial about a, n = ceil(alpha).
 
-    ``init[k]`` is the k-th classical derivative of f at a, k = 0..n-1.
+    ``init[k]`` is the k-th classical derivative of f at a, k = 0..n-1.  A
+    result that overflows raises ``OverflowError``.
     """
     _check_finite("alpha", alpha)
     norder = math.ceil(alpha)
@@ -453,8 +485,12 @@ def gfd_caputo(f: SampledFunction, alpha: float, init) -> SampledFunction:
         raise ValueError(
             f"init must have ceil(alpha) = {norder} entries, got {len(init)}"
         )
-    poly = taylor_poly(init, f.grid.x_nodes - f.grid.a)
-    return gfd_riemann(SampledFunction(f.grid, f.values - poly), alpha)
+    if not all(map(math.isfinite, init)):
+        raise ValueError(f"init must be finite, got {init}")
+    with np.errstate(all="ignore"):
+        vals = f.values - taylor_poly(init, f.grid.x_nodes - f.grid.a)
+    shifted = _finite_result(f, vals, "f minus its Taylor polynomial")
+    return gfd_riemann(shifted, alpha)
 
 
 def taylor_poly(y0, x):

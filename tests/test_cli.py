@@ -299,7 +299,18 @@ def _solve_argv(tmp_path, text):
     lambda tmp: ["operator", "integral",
                  write_xy(tmp / "far.csv", 1e10 + np.linspace(0.0, 1.0, 9), np.ones(9)),
                  "--alpha", "0.5", "--rho", "40", "--a", "1e10"],
-], ids=["gamma_in_step_h", "exp_in_contraction_bound", "a_pow_rho_in_s"])
+    lambda tmp: ["operator", "deriv",
+                 write_xy(tmp / "cos.csv", np.linspace(0.0, 1.0, 65),
+                          1.5e308 * np.cos(np.linspace(0.0, 1.0, 65))),
+                 "--alpha", "0.5", "--rho", "1", "--a", "0"],
+    lambda tmp: ["operator", "integral",
+                 write_xy(tmp / "big.csv", np.linspace(0.0, 2.0, 65), np.full(65, 1.7e308)),
+                 "--alpha", "3.5", "--rho", "0.5", "--a", "0"],
+    lambda tmp: ["operator", "caputo",
+                 write_xy(tmp / "low.csv", np.linspace(0.0, 1.0, 17), np.full(17, -1.7e308)),
+                 "--alpha", "0.5", "--rho", "1", "--a", "0", "--init", "1e308"],
+], ids=["gamma_in_step_h", "exp_in_contraction_bound", "a_pow_rho_in_s",
+        "deriv_stencil", "integral_sum", "caputo_taylor_shift"])
 def test_overflow_is_computation_failure(tmp_path, capsys, make_argv):
     # each case overflows a float operation deep inside the numerics
     argv = make_argv(tmp_path)

@@ -110,6 +110,15 @@ def test_caputo_init_length_mismatch():
         gfd_caputo(f, 1.5, [1.0])
 
 
+def test_caputo_init_must_be_finite():
+    # a non-finite init is an input error, not an overflow of the result
+    grid = make_grid(0.0, 1.0, 1.0, 17)
+    f = SampledFunction(grid, np.ones(17))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="init must be finite"):
+            gfd_caputo(f, 0.5, [bad])
+
+
 def test_grid_too_small_for_stencil():
     grid = make_grid(0.0, 1.0, 1.0, 3)
     f = SampledFunction(grid, np.ones(3))

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from gfcalc.fracops import (QuadratureWeights, SampledFunction, build_weights,
-                            make_grid)
+                            gfd_caputo, gfd_riemann, gfi_apply, make_grid)
+from gfcalc.solver import IVProblem, SolverConfig, make_rhs, solve_picard
 
 
 def dense(weights) -> np.ndarray:
@@ -253,22 +254,30 @@ def test_apply_fft_matches_apply(alpha, rho):
 @pytest.mark.parametrize("n", [2, 3, 33, 257])
 def test_apply_exact_within_an_ulp_of_the_exact_sum(alpha, n):
     # exact rational sums of stored weight times value; apply itself is off
-    # by tens of ulp on the signed inputs, as it sums rounded products
+    # by tens of ulp on the signed inputs, as it sums rounded products.
+    # gfi_apply takes its sum from apply_exact, so it is held to the same
     w = build_weights(make_grid(0.0, 1.4, 1.0, n), alpha)
     rng = np.random.default_rng(n)
     inputs = {"normal": rng.standard_normal(n),
               "uniform": rng.uniform(0.5, 2.0, n),
               "wide": rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n))}
+    # one entry 1e-16 of the rest needs more than 6 value slices at n = 257
+    tiny = rng.standard_normal(n)
+    tiny[n // 2] = math.pi * 1e-16
+    inputs["tiny entry"] = tiny
+    entries = {"apply_exact": w.apply_exact,
+               "gfi_apply": lambda v: gfi_apply(SampledFunction(w.grid, v), alpha).values}
     for kind, vals in inputs.items():
-        got = w.apply_exact(vals)
-        assert got[0] == 0.0 and not np.signbit(got[0]), kind
-        assert w.apply_exact(vals).tobytes() == got.tobytes(), kind
         exact_vals = [Fraction(float(v)) for v in vals]
-        for i in range(1, n):
-            exact = sum(Fraction(float(wij)) * vj
-                        for wij, vj in zip(w.row(i), exact_vals))
-            ulp = Fraction(float(np.spacing(abs(float(exact)))))
-            assert abs(Fraction(float(got[i])) - exact) <= ulp, (kind, i)
+        exact = [sum(Fraction(float(wij)) * vj
+                     for wij, vj in zip(w.row(i), exact_vals)) for i in range(n)]
+        for entry, fn in entries.items():
+            got = fn(vals)
+            assert got[0] == 0.0 and not np.signbit(got[0]), (entry, kind)
+            assert fn(vals).tobytes() == got.tobytes(), (entry, kind)
+            for i in range(1, n):
+                ulp = Fraction(float(np.spacing(abs(float(exact[i])))))
+                assert abs(Fraction(float(got[i])) - exact[i]) <= ulp, (entry, kind, i)
 
 
 @pytest.mark.parametrize("alpha,rho,n", [
@@ -298,6 +307,32 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
     for kind, vals in inputs.items():
         assert w.apply_exact(vals).tobytes() == wants[kind], kind
     assert calls == len(inputs)
+
+
+def test_operators_and_solver_make_no_compensated_apply(monkeypatch):
+    # apply is the reference and the fallback; on in-range data every
+    # production sum, including one whose values span more than 6 slices
+    # (power_forcing beta 4.5 at n = 4097), is apply_exact's
+    calls = 0
+    apply = QuadratureWeights.apply
+
+    def counted(self, values):
+        nonlocal calls
+        calls += 1
+        return apply(self, values)
+
+    grid = make_grid(0.0, 1.0, 0.5, 257)
+    f = SampledFunction(grid, np.sin(3.0 * grid.x_nodes) + 0.5)
+    p = IVProblem(alpha=0.5, rho=1.0, y0=(0.0,), h_star=1.0, K=1.0,
+                  rhs=make_rhs("power_forcing", {"beta": 4.5, "c": 0.1}))
+    monkeypatch.setattr(QuadratureWeights, "apply", counted)
+    for alpha in (0.4, 1.3):
+        gfi_apply(f, alpha)
+        gfd_riemann(f, alpha)
+        gfd_caputo(f, alpha, (0.5, 3.0)[:math.ceil(alpha)])
+    assert calls == 0
+    solve_picard(p, SolverConfig(n_nodes=4097, tol=1e-12))
+    assert calls == 0
 
 
 def test_apply_exact_falls_back_when_an_fft_output_is_off_an_integer(monkeypatch):
