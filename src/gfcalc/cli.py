@@ -71,7 +71,8 @@ def read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     xs: list[float] = []
     fs: list[float] = []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte order mark that spreadsheet exports often write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, rawline in enumerate(fh, start=1):
             line = rawline.strip()
             if not line or line.startswith("#"):

@@ -155,11 +155,12 @@ def make_grid(a: float, b: float, rho: float, n_nodes: int) -> Grid:
     _check_finite("rho", rho)
     _check_int("n_nodes", n_nodes, 2)
 
-    s_last = float(_s_from_x(b, a, rho))
+    with np.errstate(all="ignore"):     # an overflow is refused below
+        s_last = float(_s_from_x(b, a, rho))
+        s_nodes = np.linspace(0.0, s_last, n_nodes)
+        x_nodes = np.asarray(_x_from_s(s_nodes, a, rho), dtype=float)
     if not (math.isfinite(s_last) and s_last > 0.0):
         raise ValueError(f"transformed length (b**rho - a**rho)/rho = {s_last} unusable")
-    s_nodes = np.linspace(0.0, s_last, n_nodes)
-    x_nodes = np.asarray(_x_from_s(s_nodes, a, rho), dtype=float)
     # pin the endpoints; the transform reproduces them only to rounding
     x_nodes[0] = a
     x_nodes[-1] = b
@@ -319,8 +320,9 @@ class QuadratureWeights:
         full 53-bit mantissas means a largest |value| above about
         2**(12 beta - 53) times the smallest nonzero one (2**139 at n = 1025,
         2**127 at 4097, 2**115 at 16385); splitting constants or levels
-        outside the normal range (as for values above about 1e296); or an FFT
-        output more than 1/8 from an integer.
+        outside the normal range (as for values above about 1e296, or
+        standard-normal values scaled below about 1e-260, 1e-266 at n = 257);
+        or an FFT output more than 1/8 from an integer.
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)
@@ -437,21 +439,12 @@ def gfi_apply(f: SampledFunction, alpha: float) -> SampledFunction:
     return _finite_result(f, vals, f"fractional integral of order {alpha}")
 
 
-def _deriv_s(values: np.ndarray, ds: float) -> np.ndarray:
-    """Second-order d/ds on a uniform grid; one-sided stencils at the ends."""
-    n = values.shape[0]
-    out = np.empty(n)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * ds)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * ds)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * ds)
-    return out
-
-
 def gfd_riemann(f: SampledFunction, alpha: float) -> SampledFunction:
     """Fractional derivative of order ``alpha``: (d/ds)**n of the order
     n - alpha integral, n = ceil(alpha).
 
-    Integer alpha short-circuits to the plain n-th s-derivative.  Values at
+    Each d/ds is ``np.gradient`` at second order, one-sided at both ends;
+    integer alpha short-circuits to the plain n-th s-derivative.  Values at
     the first node rely on one-sided stencils of a weakly singular profile
     and carry low confidence; refine or read interior nodes instead.  A
     result that overflows raises ``OverflowError``.
@@ -467,7 +460,7 @@ def gfd_riemann(f: SampledFunction, alpha: float) -> SampledFunction:
     ds = f.grid.ds
     with np.errstate(all="ignore"):
         for _ in range(norder):
-            vals = _deriv_s(vals, ds)
+            vals = np.gradient(vals, ds, edge_order=2)
     return _finite_result(f, vals, f"fractional derivative of order {alpha}")
 
 
@@ -627,6 +620,9 @@ def gfi_reference(f: Callable[[np.ndarray], np.ndarray], x: float,
     _check_finite("tol", tol)
     _check_int("max_depth", max_depth, 1)
     gam = _gamma(alpha)
-    s_end = float(_s_from_x(x, a, rho))
+    with np.errstate(all="ignore"):
+        s_end = float(_s_from_x(x, a, rho))
+    if not math.isfinite(s_end):
+        raise ValueError(f"transformed length (x**rho - a**rho)/rho = {s_end} unusable")
     return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol,
                       max_depth) / gam

@@ -138,6 +138,6 @@ def parse_problem(text: str) -> tuple[IVProblem, SolverConfig]:
 
 
 def load_problem(path: str) -> tuple[IVProblem, SolverConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:     # a leading BOM is dropped
         text = fh.read()
     return parse_problem(text)

@@ -125,7 +125,7 @@ def _power_forcing_exact(p: dict, problem: "IVProblem"):
 
 
 def _logistic_lipschitz(p: dict, problem: "IVProblem") -> float:
-    t = taylor_poly(problem.y0, np.linspace(0.0, problem.h_star, 65))
+    t = taylor_poly(problem.y0, np.linspace(0.0, problem.h_star, _M_LATTICE))
     lo = float(np.min(t)) - problem.K
     hi = float(np.max(t)) + problem.K
     return abs(p["lambda"]) * max(abs(1.0 - 2.0 * lo), abs(1.0 - 2.0 * hi))
@@ -162,10 +162,10 @@ class RightHandSide:
     ``fn(x, y, problem)`` is vectorized over x and y.  ``lipschitz(problem)``
     returns a bound for |f(x, y1) - f(x, y2)| / |y1 - y2| on the existence
     box, except for ``logistic``, whose value is an estimate: it takes the
-    range of T from 65 samples over [0, h_star].  ``exact(problem)``
-    returns a callable reference solution of the Volterra equation, or None
-    when unavailable.  All three read the ``_RHS`` entry, which ``params``
-    is checked against and takes its defaults from here.
+    range of T at the x points of :func:`estimate_M`'s lattice.
+    ``exact(problem)`` returns a callable reference solution of the Volterra
+    equation, or None when unavailable.  All three read the ``_RHS`` entry,
+    which ``params`` is checked against and takes its defaults from here.
     """
 
     name: str
@@ -279,9 +279,8 @@ def estimate_M(problem: IVProblem) -> float:
     xs = np.linspace(0.0, problem.h_star, _M_LATTICE)
     offsets = np.linspace(-problem.K, problem.K, _M_LATTICE)
     t = taylor_poly(problem.y0, xs)
-    xx = np.repeat(xs, _M_LATTICE)
-    yy = (t[:, None] + offsets[None, :]).ravel()
-    vals = problem.rhs.fn(xx, yy, problem)
+    with np.errstate(all="ignore"):     # a non-finite value is refused below
+        vals = problem.rhs.fn(xs[:, None], t[:, None] + offsets, problem)
     if not np.all(np.isfinite(vals)):
         raise ValueError("rhs is not finite on the existence box")
     return float(np.max(np.abs(vals)))
@@ -324,7 +323,8 @@ def _check_in_box(values: np.ndarray, t: np.ndarray, K: float, what: str) -> Non
 
 
 def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    vals = np.asarray(problem.rhs.fn(x, y, problem), dtype=float)
+    with np.errstate(all="ignore"):     # a non-finite value is refused below
+        vals = np.asarray(problem.rhs.fn(x, y, problem), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("rhs evaluation produced non-finite values")
     return vals
@@ -358,14 +358,6 @@ def _solver_setup(problem: IVProblem, config: SolverConfig):
     grid = make_grid(0.0, h, problem.rho, config.n_nodes)
     weights = build_weights(grid, problem.alpha)
     return M, h, grid, weights, _ivp_taylor(grid, problem)
-
-
-def _omega_array(L: float | None, count: int, h: float, alpha: float,
-                 rho: float) -> np.ndarray | None:
-    if L is None:
-        return None
-    return np.array([contraction_bound(j, L, h, alpha, rho)
-                     for j in range(1, count + 1)])
 
 
 def solve_picard(problem: IVProblem, config: SolverConfig):
@@ -413,8 +405,9 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
         iterations=len(deltas),
         fft_iterations=fft_iterations,
         deltas=np.array(deltas),
-        omega_bounds=_omega_array(config.lipschitz_L, len(deltas), h,
-                                  problem.alpha, problem.rho),
+        omega_bounds=None if config.lipschitz_L is None else np.array(
+            [contraction_bound(j, config.lipschitz_L, h, problem.alpha, problem.rho)
+             for j in range(1, len(deltas) + 1)]),
         residual=volterra_residual(solution, problem, weights),
         converged=converged,
     )
@@ -541,11 +534,8 @@ def contraction_respected(report: SolverReport) -> bool:
     if report.omega_bounds is None or len(report.deltas) < 2:
         return True
     d0 = report.deltas[0]
-    slack = 1e-12 * max(1.0, d0)
-    for j in range(1, len(report.deltas)):
-        if report.deltas[j] > report.omega_bounds[j - 1] * d0 * (1.0 + 1e-2) + slack:
-            return False
-    return True
+    bounds = report.omega_bounds[:len(report.deltas) - 1] * d0 * (1.0 + 1e-2)
+    return not np.any(report.deltas[1:] > bounds + 1e-12 * max(1.0, d0))
 
 
 def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:

@@ -207,8 +207,8 @@ def stirling_oracle(r: int, m: int, n: int) -> list:
     c(s) = prod_j falling(s + j(r - m), m), and the row is recovered from
     Newton forward differences of c at s = 0..deg.  Shares no code path with
     :func:`stirling_table`; used to validate it.  Limited to small instances
-    (r, m <= %d, n <= %d).
-    """ % (_ORACLE_MAX_RM, _ORACLE_MAX_N)
+    (r, m <= 6, n <= 12: ``_ORACLE_MAX_RM`` and ``_ORACLE_MAX_N``).
+    """
     _check_int("r", r, 1)
     _check_int("m", m, 1)
     _check_int("n", n, 0)

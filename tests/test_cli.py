@@ -172,6 +172,16 @@ def test_solve_power_forcing_refuses_beta_below_alpha_minus_one(tmp_path, capsys
                    "got beta = -0.5, alpha = 0.9\n")
 
 
+def test_solve_infinite_rhs_is_one_error_line(tmp_path, capsys):
+    # power_forcing at beta < alpha is 1/0 at x = 0; numpy must not warn first
+    text = (LIN_PROB.replace("problem.rhs = linear", "problem.rhs = power_forcing")
+            .replace("problem.rhs.lambda = -1.0", "problem.rhs.beta = 0.3"))
+    code, out, err = run(capsys, _solve_argv(tmp_path, text))
+    assert code == 1
+    assert out == ""
+    assert err == "error: rhs is not finite on the existence box\n"
+
+
 # ---------------------------------------------------------------------------
 # operator
 # ---------------------------------------------------------------------------
@@ -282,6 +292,38 @@ def test_operator_data_must_cover_left_endpoint(tmp_path, capsys):
                                 "--alpha", "0.5", "--rho", "1.0", "--a", "0"])
     assert code == 1
     assert "data starts at" in err
+
+
+def test_operator_data_must_extend_beyond_left_endpoint(tmp_path, capsys):
+    src = write_xy(tmp_path / "neg.csv", np.array([-2.0, -1.0]), np.ones(2))
+    code, out, err = run(capsys, ["operator", "integral", src,
+                                  "--alpha", "0.5", "--rho", "1.0", "--a", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: data must extend beyond a = 0.0\n"
+
+
+def test_operator_overflowing_transform_is_one_error_line(tmp_path, capsys):
+    # (1e300)**2 overflows in the s transform; numpy must not warn first
+    rows = np.concatenate(([0.0], np.geomspace(1e-3, 1e300, 9)))
+    src = write_xy(tmp_path / "far.csv", rows, np.ones(10))
+    code, out, err = run(capsys, ["operator", "integral", src,
+                                  "--alpha", "0.5", "--rho", "2", "--a", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: transformed length (b**rho - a**rho)/rho = inf unusable\n"
+
+
+def test_operator_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet exports often start with one; it must not reach the header
+    x = np.linspace(0.0, 1.0, 33)
+    plain = write_xy(tmp_path / "plain.csv", x, np.sin(3.0 * x))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    args = ["--alpha", "0.5", "--rho", "1.0", "--a", "0"]
+    want = run(capsys, ["operator", "integral", plain] + args)
+    assert want[0] == 0
+    assert run(capsys, ["operator", "integral", str(bom)] + args) == want
 
 
 def _solve_argv(tmp_path, text):

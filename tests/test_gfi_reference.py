@@ -123,6 +123,16 @@ def test_non_finite_x_rejected_before_any_evaluation(x):
         gfi_reference(f, x, 0.5, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_infinite_transformed_length_refused_before_any_evaluation(a):
+    def f(_):
+        raise AssertionError("f evaluated")
+
+    with pytest.raises(ValueError,
+                       match=r"^transformed length \(x\*\*rho - a\*\*rho\)/rho = inf unusable$"):
+        gfi_reference(f, 1e300, 0.5, 2.0, a)
+
+
 @pytest.mark.parametrize("a", [0.0, 0.4])      # power and exp/log1p maps
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
 def test_equals_per_point_mapping(a, rho):

@@ -62,7 +62,11 @@ def test_same_layout():
     "a,b,rho,n",
     [(1.0, 1.0, 1.0, 5), (2.0, 1.0, 1.0, 5), (0.0, 1.0, 0.0, 5),
      (0.0, 1.0, -1.0, 5), (0.0, 1.0, 1.0, 1), (-0.5, 1.0, 1.0, 5),
-     (0.0, math.inf, 1.0, 5), (0.0, math.nan, 1.0, 5)],
+     (0.0, math.inf, 1.0, 5), (0.0, math.nan, 1.0, 5),
+     # an s transform that overflows, refused with no numpy warning
+     (0.0, 1e300, 2.0, 5), (1.0, 1e300, 2.0, 5),
+     # finite s, but the x nodes round to a non-increasing sequence
+     (1.0, 1.0 + 1e-15, 1e-300, 50)],
 )
 def test_make_grid_rejects_bad_parameters(a, b, rho, n):
     with pytest.raises(ValueError):

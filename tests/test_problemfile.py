@@ -138,6 +138,15 @@ def test_malformed_line():
         parse_problem("problem.alpha 0.5\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("= 3", r"^line 1: expected 'section\.key = value', got '= 3'$"),
+    ("problem.rhs. = 3", r"^line 1: empty rhs parameter name in 'problem\.rhs\.'$"),
+])
+def test_empty_key_refused(line, message):
+    with pytest.raises(ProblemFileError, match=message):
+        parse_problem(line + "\n" + GOOD)
+
+
 def test_comments_and_blank_lines_ignored():
     text = "\n\n# full-line comment\n" + GOOD + "\n   # trailing\n"
     problem, _ = parse_problem(text)
@@ -150,6 +159,14 @@ def test_load_problem_from_disk(tmp_path):
     problem, config = load_problem(str(path))
     assert problem.alpha == 0.5
     assert config.n_nodes == 257
+
+
+def test_load_problem_drops_a_byte_order_mark(tmp_path):
+    plain, bom = tmp_path / "plain.prob", tmp_path / "bom.prob"
+    plain.write_text(GOOD, encoding="utf-8")
+    bom.write_text(GOOD, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_problem(str(bom)) == load_problem(str(plain))
 
 
 def test_problem_errors_precede_solver_errors():

@@ -94,6 +94,21 @@ def test_estimate_m_bounded_rhs():
     assert estimate_M(p) <= 1.0
 
 
+def test_estimate_m_refuses_an_infinite_rhs_quietly():
+    # s**(beta - alpha) is 1/0 at x = 0: a ValueError, not a numpy warning
+    p = problem(alpha=0.5, name="power_forcing", params={"beta": 0.3})
+    with pytest.raises(ValueError, match="rhs is not finite on the existence box"):
+        existence_box(p)
+    with pytest.raises(ValueError, match="rhs is not finite on the existence box"):
+        solve_picard(p, SolverConfig(n_nodes=33))
+
+
+def test_eval_rhs_refuses_a_non_finite_value_quietly():
+    p = problem(alpha=0.5, name="power_forcing", params={"beta": 0.3})
+    with pytest.raises(ValueError, match="rhs evaluation produced non-finite values"):
+        solver._eval_rhs(p, np.array([0.0, 1.0]), np.zeros(2))
+
+
 def test_step_h_zero_m_returns_h_star():
     p = problem(alpha=0.7, h_star=5.0)
     assert step_h(p, 0.0) == 5.0

@@ -179,6 +179,11 @@ def test_width_and_floor_bookkeeping():
         assert len(table.rows[n]) == table.width(n) == 1 + 2 * (n - 1)
 
 
+def test_oracle_docstring_names_its_limits():
+    from gfcalc.specialfn import _ORACLE_MAX_N, _ORACLE_MAX_RM
+    assert f"(r, m <= {_ORACLE_MAX_RM}, n <= {_ORACLE_MAX_N}" in stirling_oracle.__doc__
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         stirling_table(0, 1, 3)

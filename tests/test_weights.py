@@ -294,6 +294,9 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
         "huge": np.where(rng.random(n) < 0.5, -1e300, 1e300),
         "nan": np.where(np.arange(n) == n // 2, np.nan, 1.0),
     }
+    # drawn after the others so their data stays as it was; splits into
+    # slices, but its lowest levels fall below the normal range (the guard)
+    inputs["tiny"] = rng.standard_normal(n) * 1e-290
     wants = {kind: w.apply(vals).tobytes() for kind, vals in inputs.items()}
     calls = 0
     apply = QuadratureWeights.apply
@@ -307,6 +310,26 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
     for kind, vals in inputs.items():
         assert w.apply_exact(vals).tobytes() == wants[kind], kind
     assert calls == len(inputs)
+
+
+def test_apply_exact_falls_back_on_a_level_past_the_overflow_threshold(monkeypatch):
+    # weights below 2**243 and values below 2**831 split into slices, but their
+    # exponents sum past 1023, the other half of the level-range guard
+    w = build_weights(make_grid(0.0, 1e30, 1.0, 65), 2.5)
+    vals = np.where(np.random.default_rng(65).random(65) < 0.5, -1e250, 1e250)
+    with np.errstate(over="ignore", invalid="ignore"):    # apply overflows here
+        want = w.apply(vals).tobytes()
+        calls = 0
+        apply = QuadratureWeights.apply
+
+        def counted(self, values):
+            nonlocal calls
+            calls += 1
+            return apply(self, values)
+
+        monkeypatch.setattr(QuadratureWeights, "apply", counted)
+        assert w.apply_exact(vals).tobytes() == want
+    assert calls == 1
 
 
 def test_operators_and_solver_make_no_compensated_apply(monkeypatch):
