@@ -443,11 +443,12 @@ def gfd_riemann(f: SampledFunction, alpha: float) -> SampledFunction:
     """Fractional derivative of order ``alpha``: (d/ds)**n of the order
     n - alpha integral, n = ceil(alpha).
 
-    Each d/ds is ``np.gradient`` at second order, one-sided at both ends;
-    integer alpha short-circuits to the plain n-th s-derivative.  Values at
-    the first node rely on one-sided stencils of a weakly singular profile
-    and carry low confidence; refine or read interior nodes instead.  A
-    result that overflows raises ``OverflowError``.
+    Each d/ds is ``np.gradient`` at unit spacing and second order,
+    one-sided at both ends, divided by ds; integer alpha short-circuits to
+    the plain n-th s-derivative.  Values at the first node rely on
+    one-sided stencils of a weakly singular profile and carry low
+    confidence; refine or read interior nodes instead.  A result that
+    overflows raises ``OverflowError``.
     """
     _check_finite("alpha", alpha)
     norder = math.ceil(alpha)
@@ -460,7 +461,9 @@ def gfd_riemann(f: SampledFunction, alpha: float) -> SampledFunction:
     ds = f.grid.ds
     with np.errstate(all="ignore"):
         for _ in range(norder):
-            vals = np.gradient(vals, ds, edge_order=2)
+            # spacing ds would scale the end coefficients before the sum,
+            # so a*f0 could overflow on values whose stencil is finite
+            vals = np.gradient(vals, edge_order=2) / ds
     return _finite_result(f, vals, f"fractional derivative of order {alpha}")
 
 

@@ -62,7 +62,8 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-9       # relative slack on |y - T| <= K before flagging exit
-_M_LATTICE = 64            # estimate_M samples x and y - T at this many points each
+_M_LATTICE = 64            # points per axis of the box lattice: x and y - T in
+                           # estimate_M, x alone in _logistic_lipschitz
 _MARCH_ITER_CAP = 100
 _ORACLE_PROBES = (0.25, 0.5, 0.75, 1.0)   # probe nodes, as fractions of the grid
 
@@ -323,8 +324,10 @@ def _check_in_box(values: np.ndarray, t: np.ndarray, K: float, what: str) -> Non
 
 
 def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):     # a non-finite value is refused below
-        vals = np.asarray(problem.rhs.fn(x, y, problem), dtype=float)
+    """f(x, y), refused unless finite.  Callers silence numpy's float
+    warnings around it: the marching solver calls it once per scalar, too
+    often to enter ``np.errstate`` each time."""
+    vals = np.asarray(problem.rhs.fn(x, y, problem), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("rhs evaluation produced non-finite values")
     return vals
@@ -349,7 +352,8 @@ def picard_apply(y: SampledFunction, problem: IVProblem,
     the history sum from ``QuadratureWeights.apply_exact``."""
     t = _ivp_taylor(y.grid, problem, weights)
     _check_in_box(y.values, t, problem.K, "iterate")
-    fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
+    with np.errstate(all="ignore"):
+        fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
     return SampledFunction(y.grid, t + weights.apply_exact(fvals))
 
 
@@ -382,7 +386,8 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     fft_iterations = 0
     converged = False
     for k in range(config.max_iter):
-        fvals = _eval_rhs(problem, grid.x_nodes, y)
+        with np.errstate(all="ignore"):
+            fvals = _eval_rhs(problem, grid.x_nodes, y)
         # every iteration so far took the FFT path, and this is not the last
         fft = fft_iterations == k and k + 1 < config.max_iter
         y_next = t + (weights.apply_fft if fft else weights.apply_exact)(fvals)
@@ -450,18 +455,19 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
     y = np.empty(n)
     fv = np.empty(n)
     y[0] = t[0]
-    fv[0] = float(_eval_rhs(problem, x[:1], y[:1])[0])
-    for i in range(1, n):
-        row = weights.row(i)
-        b = t[i] + float(np.dot(row[:i], fv[:i]))
-        xi = x[i]
+    with np.errstate(all="ignore"):
+        fv[0] = float(_eval_rhs(problem, x[:1], y[:1])[0])
+        for i in range(1, n):
+            row = weights.row(i)
+            b = t[i] + float(np.dot(row[:i], fv[:i]))
+            xi = x[i]
 
-        def f_scalar(u: float, _xi=xi) -> float:
-            return float(_eval_rhs(problem, np.array([_xi]), np.array([u]))[0])
+            def f_scalar(u: float, _xi=xi) -> float:
+                return float(_eval_rhs(problem, np.array([_xi]), np.array([u]))[0])
 
-        tol_i = max(1e-15, 1e-4 * config.tol) * max(1.0, abs(b))
-        y[i] = _march_node(b, float(row[i]), f_scalar, y[i - 1], tol_i, i)
-        fv[i] = f_scalar(y[i])
+            tol_i = max(1e-15, 1e-4 * config.tol) * max(1.0, abs(b))
+            y[i] = _march_node(b, float(row[i]), f_scalar, y[i - 1], tol_i, i)
+            fv[i] = f_scalar(y[i])
     _check_in_box(y, t, problem.K, "marching solution")
     return SampledFunction(grid, y)
 
@@ -520,7 +526,8 @@ def volterra_residual(y: SampledFunction, problem: IVProblem,
     if weights is None:
         weights = build_weights(y.grid, problem.alpha)
     t = _ivp_taylor(y.grid, problem, weights)
-    fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
+    with np.errstate(all="ignore"):
+        fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
     return float(np.max(np.abs(y.values - t - weights.apply_exact(fvals))))
 
 
@@ -552,8 +559,9 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     t = _ivp_taylor(grid, problem)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return _eval_rhs(problem, x,
-                         np.interp(grid.s_of(x), grid.s_nodes, y.values))
+        with np.errstate(all="ignore"):
+            return _eval_rhs(problem, x,
+                             np.interp(grid.s_of(x), grid.s_nodes, y.values))
 
     n = grid.n_nodes
     probes = dict.fromkeys(min(n - 1, max(1, round(frac * (n - 1))))

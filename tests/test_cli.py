@@ -172,10 +172,11 @@ def test_solve_power_forcing_refuses_beta_below_alpha_minus_one(tmp_path, capsys
                    "got beta = -0.5, alpha = 0.9\n")
 
 
-def test_solve_infinite_rhs_is_one_error_line(tmp_path, capsys):
-    # power_forcing at beta < alpha is 1/0 at x = 0; numpy must not warn first
-    text = (LIN_PROB.replace("problem.rhs = linear", "problem.rhs = power_forcing")
-            .replace("problem.rhs.lambda = -1.0", "problem.rhs.beta = 0.3"))
+def test_solve_overflowing_rhs_is_one_error_line(tmp_path, capsys):
+    # lambda y (1 - y) overflows at y = 1e10; numpy must not warn first
+    text = (LIN_PROB.replace("problem.rhs = linear", "problem.rhs = logistic")
+            .replace("problem.rhs.lambda = -1.0", "problem.rhs.lambda = 1e300")
+            .replace("problem.K = 1.0", "problem.K = 1e10"))
     code, out, err = run(capsys, _solve_argv(tmp_path, text))
     assert code == 1
     assert out == ""

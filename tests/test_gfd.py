@@ -62,6 +62,15 @@ def test_power_rule_fractional():
     assert float(np.max(np.abs(got[m] - want[m]))) < 1e-4
 
 
+@pytest.mark.parametrize("n", [1025, 4097])
+def test_derivative_of_large_smooth_values_is_finite(n):
+    # the end stencils' terms stay below the float limit, and so must every
+    # intermediate product, however small ds is
+    grid = make_grid(0.0, 1.0, 1.0, n)
+    f = SampledFunction(grid, 1e306 * (1.0 + grid.x_nodes))
+    for got in (gfd_riemann(f, 1.0).values, gfd_caputo(f, 1.0, (1e306,)).values):
+        np.testing.assert_allclose(got, 1e306, rtol=1e-9)
+
 def test_left_inverse_sanity():
     alpha = 0.7
     grid = make_grid(0.1, 1.1, 1.0, 1025)

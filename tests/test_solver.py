@@ -94,19 +94,33 @@ def test_estimate_m_bounded_rhs():
     assert estimate_M(p) <= 1.0
 
 
-def test_estimate_m_refuses_an_infinite_rhs_quietly():
-    # s**(beta - alpha) is 1/0 at x = 0: a ValueError, not a numpy warning
-    p = problem(alpha=0.5, name="power_forcing", params={"beta": 0.3})
+def test_estimate_m_refuses_an_overflowing_rhs_quietly():
+    # lambda y (1 - y) overflows at y = 1e10: a ValueError, not a numpy warning
+    p = problem(name="logistic", params={"lambda": 1e300}, K=1e10)
     with pytest.raises(ValueError, match="rhs is not finite on the existence box"):
         existence_box(p)
     with pytest.raises(ValueError, match="rhs is not finite on the existence box"):
         solve_picard(p, SolverConfig(n_nodes=33))
 
 
-def test_eval_rhs_refuses_a_non_finite_value_quietly():
-    p = problem(alpha=0.5, name="power_forcing", params={"beta": 0.3})
-    with pytest.raises(ValueError, match="rhs evaluation produced non-finite values"):
-        solver._eval_rhs(p, np.array([0.0, 1.0]), np.zeros(2))
+def test_rhs_overflow_is_refused_quietly(monkeypatch):
+    # every public call that evaluates the rhs refuses an overflow with a
+    # ValueError, not a numpy warning
+    p = problem(name="logistic", params={"lambda": 1e300}, K=1e10)
+    grid = make_grid(0.0, 1.0, 1.0, 33)
+    y = SampledFunction(grid, np.full(33, 1.0 + 1e9))    # inside the box
+    message = "rhs evaluation produced non-finite values"
+    with pytest.raises(ValueError, match=message):
+        picard_apply(y, p, build_weights(grid, p.alpha))
+    with pytest.raises(ValueError, match=message):
+        volterra_residual(y, p)
+    with pytest.raises(ValueError, match=message):
+        oracle_residual(y, p)
+    # a finite M lets the marching solver reach its first rhs value
+    monkeypatch.setattr(solver, "estimate_M", lambda problem: 1.0)
+    with pytest.raises(ValueError, match=message):
+        solve_marching(problem(y0=(1e10,), name="logistic", params={"lambda": 1e300}),
+                       SolverConfig(n_nodes=33))
 
 
 def test_step_h_zero_m_returns_h_star():
@@ -240,6 +254,11 @@ def test_rhs_lipschitz_hand_values():
     assert p.rhs.lipschitz(p) == 0.75 * 2.5          # low end, y = -0.75
     p = problem(y0=(1.0,), name="logistic", params={"lambda": -0.75}, K=0.5)
     assert p.rhs.lipschitz(p) == 0.75 * 2.0          # high end, y = 1.5
+    # m = 3: T = x**2/2 - x dips to -1/2 at x = 1 inside [0, h_star], so the
+    # exact bound is |1 - 2 (-1/2 - K)| = 4; sampled T can only miss the dip
+    p = problem(alpha=2.5, y0=(0.0, -1.0, 1.0), name="logistic",
+                params={"lambda": 1.0}, h_star=2.0, K=1.0)
+    assert 4.0 * (1.0 - 1e-3) < p.rhs.lipschitz(p) <= 4.0
 
 
 def test_rhs_exact_availability():
