@@ -22,7 +22,10 @@ Hadamard (logarithmic-kernel) operators.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -49,6 +52,11 @@ _REFERENCE_MAX_DEPTH = 16
 # so only that cap sets beta, and values may take more slices than weights
 _WEIGHT_SLICES = 6
 _VALUE_SLICES = 12
+# _ramp_moments' tables, keyed by float(alpha), least recently used first;
+# together they hold at most _MOMENT_CACHE_BYTES
+_MOMENT_CACHE_BYTES = 16 * 2**20
+_moment_tables: OrderedDict = OrderedDict()
+_moment_lock = threading.Lock()
 
 
 class RefinementError(RuntimeError):
@@ -185,12 +193,58 @@ def _ramp_moments(alpha: float, m_max: int):
         p[m] = alpha * int_0^1 (m - 1 + t)**(alpha-1) * t       dt
         q[m] = alpha * int_0^1 (m - 1 + t)**(alpha-1) * (1 - t) dt
 
+    Returned read-only, m = 0..m_max.  Each alpha's longest table is kept
+    for the life of the process, keyed by ``float(alpha)``, and a shorter
+    request is served as a prefix slice of it; all kept tables together
+    hold at most ``_MOMENT_CACHE_BYTES`` (16 MiB: 128 tables for n = 4097
+    where a longdouble takes 16 bytes), the least recently used alpha going
+    first, and a table larger than that is computed but not kept.  One
+    lock guards the cache; tables are computed outside it.  A prefix is
+    bit-identical to a table computed at its own length, because
+    :func:`_moment_table` computes each m on its own and only m = 2 sets
+    the number of series passes.
+    """
+    key = float(alpha)
+    with _moment_lock:
+        table = _moment_tables.get(key)
+        if table is not None and table[0].size > m_max:
+            _moment_tables.move_to_end(key)
+            return table[0][:m_max + 1], table[1][:m_max + 1]
+    p, q = _moment_table(key, m_max)
+    p.setflags(write=False)
+    q.setflags(write=False)
+    if p.nbytes + q.nbytes <= _MOMENT_CACHE_BYTES:
+        with _moment_lock:
+            table = _moment_tables.get(key)
+            # another thread may have kept a longer table meanwhile
+            if table is None or table[0].size < p.size:
+                _moment_tables[key] = (p, q)
+            _moment_tables.move_to_end(key)
+            while (sum(a.nbytes + b.nbytes for a, b in _moment_tables.values())
+                   > _MOMENT_CACHE_BYTES):
+                _moment_tables.popitem(last=False)
+    return p, q
+
+
+def _moment_table(alpha: float, m_max: int):
+    """:func:`_ramp_moments`' table, m = 0..m_max, computed afresh.
+
     Evaluated in extended precision so each stored weight carries a single
     double rounding: the naive closed forms difference large powers and lose
     ~m ulp, which would spoil weight-sum identities on long grids.  Here
     p, q = S/2 +- A with S the plain kernel integral over the cell (stable
     via expm1/log1p) and A the odd moment about the cell midpoint, summed as
     a rapidly convergent series in 1/(2m - 1)**2.
+
+    Every m is computed elementwise, and the m = 2 term alone decides when
+    the series stops.  Any other m leaves the series, checked while more
+    than 128 m are summed, once its remaining terms provably cannot move
+    its accumulator: the term just added is
+    below a quarter ulp of it, and no later pass can grow a term, as the
+    largest coefficient ratio still to come times beta**2 is at most 1
+    (the divisor k + 2, larger each pass, covers the rounding).  Adding
+    such a term rounds back to the accumulator, so the cut table is
+    bit-identical to one that sums every m to the end.
     """
     one = np.longdouble(1.0)
     al = np.longdouble(alpha)
@@ -210,15 +264,28 @@ def _ramp_moments(alpha: float, m_max: int):
         coeff = al * (al - one)      # alpha * binom(alpha-1, 1)
         power = beta * beta2         # beta**3
         acc = coeff * power / 3.0
+        # growth[(k - 1) // 2]: the largest |coeff| ratio of the passes from k on
+        ks = np.arange(1, 84, 2)
+        ratio = (np.abs((alpha - 1.0 - ks) * (alpha - 2.0 - ks))
+                 / ((ks + 1.0) * (ks + 2.0)))
+        growth = np.maximum.accumulate(ratio[::-1])[::-1]
+        live = acc.size              # m = 2 .. live + 1 are still summed
         k = 1
         while k <= 81:
             coeff *= (al - one - k) / (k + one)
             coeff *= (al - 2.0 - k) / (k + 2.0)
             k += 2
-            power = power * beta2
-            acc = acc + coeff * power / (k + 2.0)
+            power = power[:live] * beta2[:live]
+            term = coeff * power / (k + 2.0)
+            acc[:live] = acc[:live] + term
             if abs(coeff) * float(power[0]) < 1e-26:
                 break
+            # on fewer live moments a check costs more than the passes it saves
+            if live > 128:
+                moving = ((np.abs(term) >= np.abs(np.spacing(acc[:live])) / 4.0)
+                          | (growth[(k - 1) // 2] * beta2[:live] > 1.0))
+                moving[0] = True
+                live = int(np.flatnonzero(moving)[-1]) + 1
         odd = 2.0 * np.power(c, al + one) * acc
         half_s = np.longdouble(0.5) * s_cell
         p[2:] = half_s + odd
@@ -263,6 +330,14 @@ class QuadratureWeights:
     weights are stored in O(n) memory as two generators: ``first`` is column
     0, and ``band[d]`` is the weight at distance d = 0, 1, ..., n - 2, so that
     column j >= 1 is ``band[:n-j]`` in rows j..n-1.
+
+    The weight side of the fast sums is computed on first use and kept for
+    the life of the instance, with no key beyond the instance itself: the
+    band's spectrum for :meth:`apply_fft` (16 n bytes at n = 2**k + 1), and
+    for :meth:`apply_exact` the weight slices with their spectra (at most
+    ``_WEIGHT_SLICES`` of each, at most about 0.8 MB at n = 4097).  They
+    are the same arrays, from the same arithmetic, that each call would
+    compute, so every result keeps its bytes.
     """
 
     alpha: float
@@ -288,11 +363,38 @@ class QuadratureWeights:
         n = self.grid.n_nodes
         vals = _node_values(values, n)
         out = self.first * vals[0]
-        size = 1 << (2 * n - 4).bit_length()
-        spectrum = np.fft.rfft(self.band, size) * np.fft.rfft(vals[1:], size)
+        size = self._fft_size
+        spectrum = self._band_spectrum * np.fft.rfft(vals[1:], size)
         out[1:] += np.fft.irfft(spectrum, size)[:n - 1]
         out[0] = 0.0
         return out
+
+    @cached_property
+    def _fft_size(self) -> int:
+        """The power of two >= 2n - 3 that both fast sums pad to."""
+        return 1 << (2 * self.grid.n_nodes - 4).bit_length()
+
+    @cached_property
+    def _band_spectrum(self) -> np.ndarray:
+        return np.fft.rfft(self.band, self._fft_size)
+
+    @property
+    def _beta(self) -> int:
+        """:meth:`apply_exact`'s slice width in bits."""
+        return (45 - (_WEIGHT_SLICES * self.grid.n_nodes).bit_length()) // 2
+
+    @cached_property
+    def _weight_split(self):
+        """(e, slices, spectra): ``first`` and ``band`` split together by
+        :func:`_int_slices`, and each slice's band part transformed; None
+        when the weights need more than ``_WEIGHT_SLICES`` slices."""
+        split = _int_slices(np.concatenate((self.first, self.band)), self._beta,
+                            _WEIGHT_SLICES)
+        if split is None:
+            return None
+        e, slices = split
+        n = self.grid.n_nodes
+        return e, slices, [np.fft.rfft(s[n:], self._fft_size) for s in slices]
 
     def apply_exact(self, values: np.ndarray) -> np.ndarray:
         """The library's history sum W v in O(n log n), each node within
@@ -311,7 +413,9 @@ class QuadratureWeights:
         each, and the levels, exact and largest first, are added by a TwoSum
         chain with a second accumulator.  That adds them as if in twice the
         working precision, so only a node whose sum cancels to below about
-        1e-13 of its largest level can be off by more than an ulp.
+        1e-13 of its largest level can be off by more than an ulp.  The
+        first call on an instance splits and transforms the weights and
+        keeps them; every call splits and transforms only its values.
 
         Falls back to :meth:`apply` when exactness cannot be shown: values
         that are not finite; weights that need more than ``_WEIGHT_SLICES``
@@ -326,14 +430,13 @@ class QuadratureWeights:
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)
-        beta = (45 - (_WEIGHT_SLICES * n).bit_length()) // 2
-        split_w = _int_slices(np.concatenate((self.first, self.band)), beta,
-                              _WEIGHT_SLICES)
+        beta = self._beta
+        split_w = self._weight_split
         split_v = (_int_slices(vals, beta, _VALUE_SLICES)
-                   if np.all(np.isfinite(vals)) else None)
-        if split_w is None or split_v is None:
+                   if split_w is not None and np.all(np.isfinite(vals)) else None)
+        if split_v is None:
             return self.apply(vals)
-        (e_w, w_slices), (e_v, v_slices) = split_w, split_v
+        (e_w, w_slices, w_spectra), (e_v, v_slices) = split_w, split_v
         if not v_slices:
             return np.zeros(n)
         levels = len(w_slices) + len(v_slices) - 1
@@ -341,8 +444,7 @@ class QuadratureWeights:
         if (scale - beta * (levels - 1) < -1022
                 or e_w + e_v + (2 * n).bit_length() > 1023):
             return self.apply(vals)
-        size = 1 << (2 * n - 4).bit_length()
-        w_spectra = [np.fft.rfft(s[n:], size) for s in w_slices]
+        size = self._fft_size
         v_spectra = [np.fft.rfft(s[1:], size) for s in v_slices]
         for level in range(levels):
             pairs = [(p, level - p) for p in range(len(w_slices))

@@ -5,6 +5,8 @@ The mpmath comparisons build the classical product-trapezoid weights from
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from gfcalc import fracops
 from gfcalc.fracops import (QuadratureWeights, SampledFunction, build_weights,
                             gfd_caputo, gfd_riemann, gfi_apply, make_grid)
 from gfcalc.solver import IVProblem, SolverConfig, make_rhs, solve_picard
@@ -366,3 +369,251 @@ def test_apply_exact_falls_back_when_an_fft_output_is_off_an_integer(monkeypatch
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.25)
     assert w.apply_exact(vals).tobytes() == want
+
+
+# ---------------------------------------------------------------------------
+# the moment cache and the per-instance weight spectra
+# ---------------------------------------------------------------------------
+
+def uncut_ramp_moments(alpha: float, m_max: int):
+    """The moment series as it was before the per-m cutoff and the cache:
+    every m is summed until the m = 2 term has converged."""
+    one = np.longdouble(1.0)
+    al = np.longdouble(alpha)
+    p = np.zeros(m_max + 1, dtype=np.longdouble)
+    q = np.zeros(m_max + 1, dtype=np.longdouble)
+    if m_max >= 1:
+        p[1] = al / (al + one)
+        q[1] = one / (al + one)
+    if m_max >= 2:
+        m = np.arange(2, m_max + 1).astype(np.longdouble)
+        s_cell = np.power(m, al) * (-np.expm1(al * np.log1p(-one / m)))
+        c = m - np.longdouble(0.5)
+        beta = one / (2.0 * c)
+        beta2 = beta * beta
+        coeff = al * (al - one)
+        power = beta * beta2
+        acc = coeff * power / 3.0
+        k = 1
+        while k <= 81:
+            coeff *= (al - one - k) / (k + one)
+            coeff *= (al - 2.0 - k) / (k + 2.0)
+            k += 2
+            power = power * beta2
+            acc = acc + coeff * power / (k + 2.0)
+            if abs(coeff) * float(power[0]) < 1e-26:
+                break
+        odd = 2.0 * np.power(c, al + one) * acc
+        half_s = np.longdouble(0.5) * s_cell
+        p[2:] = half_s + odd
+        q[2:] = half_s - odd
+    return p, q
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # values and signs, not tobytes(): an 80-bit longdouble's padding bytes
+    # are not part of its value and may differ between equal arrays
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def cold_moments():
+    with fracops._moment_lock:
+        fracops._moment_tables.clear()
+
+
+def cached_bytes() -> int:
+    return sum(p.nbytes + q.nbytes for p, q in fracops._moment_tables.values())
+
+
+MOMENT_ALPHAS = [0.05, 0.3, 0.5, 0.999, 1.0, 1.5, 2.0, 2.5, 3.7, 4.9, 7.0, 10.0]
+
+
+@pytest.mark.parametrize("alpha", MOMENT_ALPHAS)
+def test_moment_prefixes_match_the_uncut_series(alpha):
+    for m_max in (1, 2, 3, 64, 300):
+        # cold: the cut series at its own length
+        cold_moments()
+        assert all(map(same_bits, fracops._ramp_moments(alpha, m_max),
+                       uncut_ramp_moments(alpha, m_max))), m_max
+    cold_moments()
+    fracops._ramp_moments(alpha, 4096)
+    for m_max in (1, 2, 3, 64, 1024, 2048, 4095, 4096):
+        got = fracops._ramp_moments(alpha, m_max)
+        assert all(map(same_bits, got, uncut_ramp_moments(alpha, m_max))), m_max
+    assert fracops._moment_tables[float(alpha)][0].size == 4097
+
+
+@pytest.mark.parametrize("alpha,n", [(0.5, 4097), (1.3, 1025), (7.0, 257)])
+def test_cold_and_warm_weights_have_the_same_bytes(alpha, n):
+    grid = make_grid(0.0, 1.3, 0.8, n)
+    cold_moments()
+    cold = build_weights(grid, alpha)
+    warm = build_weights(grid, alpha)
+    assert cold.first.tobytes() == warm.first.tobytes()
+    assert cold.band.tobytes() == warm.band.tobytes()
+    # a smaller table served from the larger one
+    small = make_grid(0.0, 0.4, 0.8, 65)
+    from_large = build_weights(small, alpha)
+    cold_moments()
+    from_cold = build_weights(small, alpha)
+    assert from_large.first.tobytes() == from_cold.first.tobytes()
+    assert from_large.band.tobytes() == from_cold.band.tobytes()
+    assert fracops._moment_tables[float(alpha)][0].size == 65
+
+
+def test_moment_cache_keeps_recent_alphas_within_its_byte_cap(monkeypatch):
+    grid = make_grid(0.0, 1.0, 1.0, 4097)
+    alphas = [0.3 + 0.05 * i for i in range(24)]
+    cold_moments()
+    for alpha in alphas:
+        build_weights(grid, alpha)
+    # 24 tables of 4097 moments fit the 16 MiB cap
+    assert list(fracops._moment_tables) == alphas
+    table = 2 * 4097 * np.dtype(np.longdouble).itemsize
+    assert cached_bytes() == 24 * table
+    # room for five tables: the least recently used alphas go first, and a
+    # hit counts as a use
+    monkeypatch.setattr(fracops, "_MOMENT_CACHE_BYTES", 5 * table + table // 2)
+    build_weights(grid, alphas[0])
+    build_weights(grid, 9.5)
+    assert list(fracops._moment_tables) == alphas[-3:] + [alphas[0], 9.5]
+    # a table larger than the cap is computed and returned, but not kept,
+    # and evicts nothing
+    got = fracops._ramp_moments(0.41, 6 * 4096)
+    assert all(map(same_bits, got, uncut_ramp_moments(0.41, 6 * 4096)))
+    assert list(fracops._moment_tables) == alphas[-3:] + [alphas[0], 9.5]
+    assert cached_bytes() == 5 * table
+    cold_moments()
+
+
+def test_cached_moments_are_read_only():
+    cold_moments()
+    for p, q in (fracops._ramp_moments(0.7, 300),      # computed
+                 fracops._ramp_moments(0.7, 100),      # a prefix of the kept table
+                 fracops._ramp_moments(0.7, 300)):     # the kept table
+        for arr in (p, q):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
+    assert fracops._moment_tables[0.7][0][1] == uncut_ramp_moments(0.7, 1)[0][1]
+
+
+def test_threads_building_weights_match_a_serial_build():
+    alphas = [0.35, 0.6, 1.45, 2.2]
+    grids = [make_grid(0.0, 1.0, 1.0, n) for n in (257, 4097, 1025, 4097)]
+    cold_moments()
+    serial = {(a, g.n_nodes): build_weights(g, a) for a in alphas for g in grids}
+    cold_moments()
+    results = {}
+    errors = []
+
+    def worker(alpha):
+        try:
+            for grid in grids:
+                results[(alpha, grid.n_nodes)] = build_weights(grid, alpha)
+        except Exception as exc:          # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(a,)) for a in alphas]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert results.keys() == serial.keys()
+    for key, want in serial.items():
+        assert results[key].first.tobytes() == want.first.tobytes(), key
+        assert results[key].band.tobytes() == want.band.tobytes(), key
+    assert sorted(fracops._moment_tables) == alphas
+    assert all(p.size == 4097 for p, _ in fracops._moment_tables.values())
+
+
+def test_apply_exact_splits_the_weights_once(monkeypatch):
+    w = build_weights(make_grid(0.0, 1.0, 0.7, 1025), 0.8)
+    rng = np.random.default_rng(5)
+    vals = [rng.standard_normal(1025) for _ in range(3)]
+    want = [build_weights(w.grid, 0.8).apply_exact(v).tobytes() for v in vals]
+    split = fracops._int_slices
+    sizes = []
+
+    def counted(x, beta, cap):
+        sizes.append(x.size)
+        return split(x, beta, cap)
+
+    monkeypatch.setattr(fracops, "_int_slices", counted)
+    for v, expect in zip(vals, want):
+        assert w.apply_exact(v).tobytes() == expect
+    # the weights (first and band, 2n - 1 entries) once, then the values
+    assert sizes == [2 * 1025 - 1, 1025, 1025, 1025]
+
+
+def test_apply_fft_transforms_the_band_once(monkeypatch):
+    w = build_weights(make_grid(0.0, 1.0, 1.0, 513), 0.6)
+    rng = np.random.default_rng(6)
+    vals = [rng.standard_normal(513) for _ in range(4)]
+    want = [build_weights(w.grid, 0.6).apply_fft(v).tobytes() for v in vals]
+    rfft = np.fft.rfft
+    calls = 0
+
+    def counted(a, n):
+        nonlocal calls
+        calls += 1
+        return rfft(a, n)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    for v, expect in zip(vals, want):
+        assert w.apply_fft(v).tobytes() == expect
+    assert calls == len(vals) + 1
+
+
+@pytest.mark.parametrize("alpha,rho,n", [
+    (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
+    (0.25, 2.0, 1025),
+])
+def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n):
+    # the inputs of the test_apply_exact_falls_back_* tests, each on an
+    # instance whose weight split a successful call has already cached
+    grid = make_grid(0.0, 1.4, rho, n)
+    w = build_weights(grid, alpha)
+    rng = np.random.default_rng(n)
+    inputs = {
+        "growing": np.geomspace(1e-150, 1e150, n) * (-1.0) ** np.arange(n),
+        "huge": np.where(rng.random(n) < 0.5, -1e300, 1e300),
+        "nan": np.where(np.arange(n) == n // 2, np.nan, 1.0),
+        "tiny": rng.standard_normal(n) * 1e-290,
+    }
+    normal = rng.standard_normal(n)
+    first = w.apply_exact(normal)
+    for kind, vals in inputs.items():
+        fresh = build_weights(grid, alpha).apply_exact(vals)
+        assert w.apply_exact(vals).tobytes() == fresh.tobytes(), kind
+        assert fresh.tobytes() == w.apply(vals).tobytes(), kind
+    assert w.apply_exact(normal).tobytes() == first.tobytes()
+    # the other half of the level-range guard
+    w = build_weights(make_grid(0.0, 1e30, 1.0, 65), 2.5)
+    w.apply_exact(np.random.default_rng(65).standard_normal(65))
+    vals = np.where(np.random.default_rng(65).random(65) < 0.5, -1e250, 1e250)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert w.apply_exact(vals).tobytes() == w.apply(vals).tobytes()
+
+
+def test_apply_exact_second_call_peaks_lower():
+    # the first call also builds and keeps the weight slices and spectra
+    w = build_weights(make_grid(0.0, 1.0, 1.0, 4097), 0.5)
+    vals = np.random.default_rng(1).standard_normal(4097)
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            w.apply_exact(vals)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0]
