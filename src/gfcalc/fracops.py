@@ -22,10 +22,8 @@ Hadamard (logarithmic-kernel) operators.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,11 +50,13 @@ _REFERENCE_MAX_DEPTH = 16
 # so only that cap sets beta, and values may take more slices than weights
 _WEIGHT_SLICES = 6
 _VALUE_SLICES = 12
-# _ramp_moments' tables, keyed by float(alpha), least recently used first;
-# together they hold at most _MOMENT_CACHE_BYTES
-_MOMENT_CACHE_BYTES = 16 * 2**20
-_moment_tables: OrderedDict = OrderedDict()
-_moment_lock = threading.Lock()
+# _ramp_moments keeps its last _MOMENT_CACHE_SIZE tables of m_max at most
+# _MOMENT_CACHE_M: with 32 bytes per m (two 16-byte longdoubles) at most
+# about 2.1 MB, enough for four problems solved at n 1025, 2049 and 4097
+_MOMENT_CACHE_SIZE = 16
+_MOMENT_CACHE_M = 4096
+# the odd-moment series' last pass
+_ODD_PASSES = 81
 
 
 class RefinementError(RuntimeError):
@@ -193,37 +193,16 @@ def _ramp_moments(alpha: float, m_max: int):
         p[m] = alpha * int_0^1 (m - 1 + t)**(alpha-1) * t       dt
         q[m] = alpha * int_0^1 (m - 1 + t)**(alpha-1) * (1 - t) dt
 
-    Returned read-only, m = 0..m_max.  Each alpha's longest table is kept
-    for the life of the process, keyed by ``float(alpha)``, and a shorter
-    request is served as a prefix slice of it; all kept tables together
-    hold at most ``_MOMENT_CACHE_BYTES`` (16 MiB: 128 tables for n = 4097
-    where a longdouble takes 16 bytes), the least recently used alpha going
-    first, and a table larger than that is computed but not kept.  One
-    lock guards the cache; tables are computed outside it.  A prefix is
-    bit-identical to a table computed at its own length, because
-    :func:`_moment_table` computes each m on its own and only m = 2 sets
-    the number of series passes.
+    Returned read-only, m = 0..m_max.  The tables of the last
+    ``_MOMENT_CACHE_SIZE`` (16) requests with ``m_max <= _MOMENT_CACHE_M``
+    (4096) are kept for the life of the process by ``functools.lru_cache``,
+    keyed by ``(float(alpha), m_max)``, the least recently used going
+    first: at most about 2.1 MB.  A larger table is computed afresh each
+    time.  A kept table is the array a fresh computation gives, so every
+    weight keeps its bytes.
     """
-    key = float(alpha)
-    with _moment_lock:
-        table = _moment_tables.get(key)
-        if table is not None and table[0].size > m_max:
-            _moment_tables.move_to_end(key)
-            return table[0][:m_max + 1], table[1][:m_max + 1]
-    p, q = _moment_table(key, m_max)
-    p.setflags(write=False)
-    q.setflags(write=False)
-    if p.nbytes + q.nbytes <= _MOMENT_CACHE_BYTES:
-        with _moment_lock:
-            table = _moment_tables.get(key)
-            # another thread may have kept a longer table meanwhile
-            if table is None or table[0].size < p.size:
-                _moment_tables[key] = (p, q)
-            _moment_tables.move_to_end(key)
-            while (sum(a.nbytes + b.nbytes for a, b in _moment_tables.values())
-                   > _MOMENT_CACHE_BYTES):
-                _moment_tables.popitem(last=False)
-    return p, q
+    table = _cached_moment_table if m_max <= _MOMENT_CACHE_M else _moment_table
+    return table(float(alpha), m_max)
 
 
 def _moment_table(alpha: float, m_max: int):
@@ -265,13 +244,13 @@ def _moment_table(alpha: float, m_max: int):
         power = beta * beta2         # beta**3
         acc = coeff * power / 3.0
         # growth[(k - 1) // 2]: the largest |coeff| ratio of the passes from k on
-        ks = np.arange(1, 84, 2)
+        ks = np.arange(1, _ODD_PASSES + 3, 2)
         ratio = (np.abs((alpha - 1.0 - ks) * (alpha - 2.0 - ks))
                  / ((ks + 1.0) * (ks + 2.0)))
         growth = np.maximum.accumulate(ratio[::-1])[::-1]
         live = acc.size              # m = 2 .. live + 1 are still summed
         k = 1
-        while k <= 81:
+        while k <= _ODD_PASSES:
             coeff *= (al - one - k) / (k + one)
             coeff *= (al - 2.0 - k) / (k + 2.0)
             k += 2
@@ -290,7 +269,12 @@ def _moment_table(alpha: float, m_max: int):
         half_s = np.longdouble(0.5) * s_cell
         p[2:] = half_s + odd
         q[2:] = half_s - odd
+    p.setflags(write=False)
+    q.setflags(write=False)
     return p, q
+
+
+_cached_moment_table = lru_cache(maxsize=_MOMENT_CACHE_SIZE)(_moment_table)
 
 
 def _int_slices(x: np.ndarray, beta: int, cap: int):

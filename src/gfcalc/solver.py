@@ -383,10 +383,10 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     The solve builds its weights once.  The weights' band spectrum and
     exact-sum slices are computed by the first sum of each kind and kept
     until the solve returns, and the ramp moments come from
-    ``fracops._ramp_moments``' process-wide cache, keyed by alpha and
-    bounded at 16 MiB, so a later solve of the same alpha reads them back.
-    Both hold the arrays a fresh computation would give, so the solution
-    and report keep their bytes.
+    ``fracops._ramp_moments``' process-wide cache of its last 16 tables,
+    keyed by alpha and n, so a later solve of the same alpha and n reads
+    them back.  Both hold the arrays a fresh computation would give, so the
+    solution and report keep their bytes.
     """
     M, h, grid, weights, t = _solver_setup(problem, config)
     y = t.copy()

@@ -154,6 +154,7 @@ def test_build_weights_rejects_bad_alpha():
 def test_build_weights_memory_is_linear():
     # the dense n x n table at n = 4097 would take about 134 MB
     grid = make_grid(0.0, 1.0, 1.0, 4097)
+    cold_moments()
     tracemalloc.start()
     try:
         build_weights(grid, 0.5)
@@ -418,12 +419,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def cold_moments():
-    with fracops._moment_lock:
-        fracops._moment_tables.clear()
-
-
-def cached_bytes() -> int:
-    return sum(p.nbytes + q.nbytes for p, q in fracops._moment_tables.values())
+    fracops._cached_moment_table.cache_clear()
 
 
 MOMENT_ALPHAS = [0.05, 0.3, 0.5, 0.999, 1.0, 1.5, 2.0, 2.5, 3.7, 4.9, 7.0, 10.0]
@@ -431,17 +427,14 @@ MOMENT_ALPHAS = [0.05, 0.3, 0.5, 0.999, 1.0, 1.5, 2.0, 2.5, 3.7, 4.9, 7.0, 10.0]
 
 @pytest.mark.parametrize("alpha", MOMENT_ALPHAS)
 def test_moment_prefixes_match_the_uncut_series(alpha):
-    for m_max in (1, 2, 3, 64, 300):
-        # cold: the cut series at its own length
-        cold_moments()
-        assert all(map(same_bits, fracops._ramp_moments(alpha, m_max),
-                       uncut_ramp_moments(alpha, m_max))), m_max
+    # the cut is decided per m, so a table's prefix is the table at its own
+    # length, and both are the uncut series
     cold_moments()
-    fracops._ramp_moments(alpha, 4096)
-    for m_max in (1, 2, 3, 64, 1024, 2048, 4095, 4096):
-        got = fracops._ramp_moments(alpha, m_max)
-        assert all(map(same_bits, got, uncut_ramp_moments(alpha, m_max))), m_max
-    assert fracops._moment_tables[float(alpha)][0].size == 4097
+    long = fracops._ramp_moments(alpha, 4096)
+    for m_max in (1, 2, 3, 64, 300, 1024, 2048, 4095, 4096):
+        want = uncut_ramp_moments(alpha, m_max)
+        assert all(map(same_bits, fracops._ramp_moments(alpha, m_max), want)), m_max
+        assert all(map(same_bits, (a[:m_max + 1] for a in long), want)), m_max
 
 
 @pytest.mark.parametrize("alpha,n", [(0.5, 4097), (1.3, 1025), (7.0, 257)])
@@ -450,53 +443,54 @@ def test_cold_and_warm_weights_have_the_same_bytes(alpha, n):
     cold_moments()
     cold = build_weights(grid, alpha)
     warm = build_weights(grid, alpha)
+    assert fracops._cached_moment_table.cache_info()[:2] == (1, 1)   # hits, misses
     assert cold.first.tobytes() == warm.first.tobytes()
     assert cold.band.tobytes() == warm.band.tobytes()
-    # a smaller table served from the larger one
+    # a smaller table built after a larger one
     small = make_grid(0.0, 0.4, 0.8, 65)
-    from_large = build_weights(small, alpha)
+    after_large = build_weights(small, alpha)
     cold_moments()
     from_cold = build_weights(small, alpha)
-    assert from_large.first.tobytes() == from_cold.first.tobytes()
-    assert from_large.band.tobytes() == from_cold.band.tobytes()
-    assert fracops._moment_tables[float(alpha)][0].size == 65
+    assert after_large.first.tobytes() == from_cold.first.tobytes()
+    assert after_large.band.tobytes() == from_cold.band.tobytes()
 
 
-def test_moment_cache_keeps_recent_alphas_within_its_byte_cap(monkeypatch):
+def test_moment_cache_keeps_the_last_tables():
     grid = make_grid(0.0, 1.0, 1.0, 4097)
     alphas = [0.3 + 0.05 * i for i in range(24)]
     cold_moments()
     for alpha in alphas:
         build_weights(grid, alpha)
-    # 24 tables of 4097 moments fit the 16 MiB cap
-    assert list(fracops._moment_tables) == alphas
-    table = 2 * 4097 * np.dtype(np.longdouble).itemsize
-    assert cached_bytes() == 24 * table
-    # room for five tables: the least recently used alphas go first, and a
-    # hit counts as a use
-    monkeypatch.setattr(fracops, "_MOMENT_CACHE_BYTES", 5 * table + table // 2)
-    build_weights(grid, alphas[0])
-    build_weights(grid, 9.5)
-    assert list(fracops._moment_tables) == alphas[-3:] + [alphas[0], 9.5]
-    # a table larger than the cap is computed and returned, but not kept,
-    # and evicts nothing
+    info = fracops._cached_moment_table.cache_info()
+    assert info.misses == 24 and info.currsize == fracops._MOMENT_CACHE_SIZE == 16
+    # the last 16 are kept (16 tables of 4097 moments: about 2.1 MB)
+    for alpha in alphas[-16:]:
+        fracops._ramp_moments(alpha, 4096)
+    assert fracops._cached_moment_table.cache_info()[:2] == (16, 24)
+    # a hit counts as a use: alphas[9], not alphas[8], is dropped next
+    fracops._ramp_moments(alphas[8], 4096)
+    fracops._ramp_moments(alphas[0], 4096)
+    fracops._ramp_moments(alphas[8], 4096)
+    assert fracops._cached_moment_table.cache_info()[:2] == (18, 25)
+    fracops._ramp_moments(alphas[9], 4096)
+    assert fracops._cached_moment_table.cache_info()[:2] == (18, 26)
+    # a table longer than _MOMENT_CACHE_M is computed afresh and not kept
     got = fracops._ramp_moments(0.41, 6 * 4096)
     assert all(map(same_bits, got, uncut_ramp_moments(0.41, 6 * 4096)))
-    assert list(fracops._moment_tables) == alphas[-3:] + [alphas[0], 9.5]
-    assert cached_bytes() == 5 * table
+    assert fracops._cached_moment_table.cache_info()[:3] == (18, 26, 16)
     cold_moments()
 
 
-def test_cached_moments_are_read_only():
+def test_moments_are_read_only():
     cold_moments()
-    for p, q in (fracops._ramp_moments(0.7, 300),      # computed
-                 fracops._ramp_moments(0.7, 100),      # a prefix of the kept table
-                 fracops._ramp_moments(0.7, 300)):     # the kept table
+    for p, q in (fracops._ramp_moments(0.7, 300),       # computed and kept
+                 fracops._ramp_moments(0.7, 300),       # the kept table
+                 fracops._ramp_moments(0.7, 5000)):     # computed, not kept
         for arr in (p, q):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[1] = 0.0
-    assert fracops._moment_tables[0.7][0][1] == uncut_ramp_moments(0.7, 1)[0][1]
+    assert fracops._ramp_moments(0.7, 300)[0][1] == uncut_ramp_moments(0.7, 1)[0][1]
 
 
 def test_threads_building_weights_match_a_serial_build():
@@ -531,8 +525,8 @@ def test_threads_building_weights_match_a_serial_build():
     for key, want in serial.items():
         assert results[key].first.tobytes() == want.first.tobytes(), key
         assert results[key].band.tobytes() == want.band.tobytes(), key
-    assert sorted(fracops._moment_tables) == alphas
-    assert all(p.size == 4097 for p, _ in fracops._moment_tables.values())
+    # three lengths for each alpha
+    assert fracops._cached_moment_table.cache_info().currsize == 12
 
 
 def test_apply_exact_splits_the_weights_once(monkeypatch):
