@@ -218,10 +218,10 @@ def _moment_table(alpha: float, m_max: int):
     Every m is computed elementwise, and the m = 2 term alone decides when
     the series stops.  Any other m leaves the series, checked while more
     than 128 m are summed, once its remaining terms provably cannot move
-    its accumulator: the term just added is
-    below a quarter ulp of it, and no later pass can grow a term, as the
-    largest coefficient ratio still to come times beta**2 is at most 1
-    (the divisor k + 2, larger each pass, covers the rounding).  Adding
+    its accumulator: the term just added is below a quarter ulp of it, and
+    no later pass can grow a term, as the largest coefficient ratio still
+    to come times beta**2 is at most 1 (the divisor k + 2, larger each
+    pass, covers the rounding).  Adding
     such a term rounds back to the accumulator, so the cut table is
     bit-identical to one that sums every m to the end.
     """
