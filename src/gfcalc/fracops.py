@@ -55,8 +55,6 @@ _VALUE_SLICES = 12
 # about 2.1 MB, enough for four problems solved at n 1025, 2049 and 4097
 _MOMENT_CACHE_SIZE = 16
 _MOMENT_CACHE_M = 4096
-# the odd-moment series' last pass
-_ODD_PASSES = 81
 
 
 class RefinementError(RuntimeError):
@@ -215,15 +213,10 @@ def _moment_table(alpha: float, m_max: int):
     via expm1/log1p) and A the odd moment about the cell midpoint, summed as
     a rapidly convergent series in 1/(2m - 1)**2.
 
-    Every m is computed elementwise, and the m = 2 term alone decides when
-    the series stops.  Any other m leaves the series, checked while more
-    than 128 m are summed, once its remaining terms provably cannot move
-    its accumulator: the term just added is below a quarter ulp of it, and
-    no later pass can grow a term, as the largest coefficient ratio still
-    to come times beta**2 is at most 1 (the divisor k + 2, larger each
-    pass, covers the rounding).  Adding
-    such a term rounds back to the accumulator, so the cut table is
-    bit-identical to one that sums every m to the end.
+    Every m is summed elementwise until the m = 2 term, the slowest to
+    converge, has.  The cap of 161 passes lies above the last pass that
+    takes at any alpha ``build_weights`` admits, where Gamma(alpha + 1) is
+    finite (alpha < 170.62): pass 135 at alpha 170.6.
     """
     one = np.longdouble(1.0)
     al = np.longdouble(alpha)
@@ -243,28 +236,15 @@ def _moment_table(alpha: float, m_max: int):
         coeff = al * (al - one)      # alpha * binom(alpha-1, 1)
         power = beta * beta2         # beta**3
         acc = coeff * power / 3.0
-        # growth[(k - 1) // 2]: the largest |coeff| ratio of the passes from k on
-        ks = np.arange(1, _ODD_PASSES + 3, 2)
-        ratio = (np.abs((alpha - 1.0 - ks) * (alpha - 2.0 - ks))
-                 / ((ks + 1.0) * (ks + 2.0)))
-        growth = np.maximum.accumulate(ratio[::-1])[::-1]
-        live = acc.size              # m = 2 .. live + 1 are still summed
         k = 1
-        while k <= _ODD_PASSES:
+        while k <= 161:
             coeff *= (al - one - k) / (k + one)
             coeff *= (al - 2.0 - k) / (k + 2.0)
             k += 2
-            power = power[:live] * beta2[:live]
-            term = coeff * power / (k + 2.0)
-            acc[:live] = acc[:live] + term
+            power *= beta2
+            acc += coeff * power / (k + 2.0)
             if abs(coeff) * float(power[0]) < 1e-26:
                 break
-            # on fewer live moments a check costs more than the passes it saves
-            if live > 128:
-                moving = ((np.abs(term) >= np.abs(np.spacing(acc[:live])) / 4.0)
-                          | (growth[(k - 1) // 2] * beta2[:live] > 1.0))
-                moving[0] = True
-                live = int(np.flatnonzero(moving)[-1]) + 1
         odd = 2.0 * np.power(c, al + one) * acc
         half_s = np.longdouble(0.5) * s_cell
         p[2:] = half_s + odd
@@ -486,8 +466,8 @@ def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
     _check_finite("alpha", alpha)
     n = grid.n_nodes
     ds = grid.ds
+    gam = _gamma(alpha, 1.0)     # refuses too large an alpha before the series
     p, q = _ramp_moments(alpha, n - 1)
-    gam = _gamma(alpha, 1.0)
     # moments carry the extra alpha, so the prefactor divides by Gamma(alpha+1)
     pref = np.power(np.longdouble(ds), np.longdouble(alpha)) / np.longdouble(gam)
     first = (pref * p).astype(float)

@@ -562,6 +562,11 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     solver's weights, at its default tol and depth; each mesh level is one
     finiteness-checked rhs call, and a node probed twice is integrated once.
     Raises RefinementError when a probe does not converge.
+
+    The probe is node-only: for an rhs linear in y, f(., y) of the
+    interpolant is piecewise linear in s, which the solver's weights
+    integrate exactly, so it sees only the Picard stopping error and not
+    the discretisation error.
     """
     grid = y.grid
     t = _ivp_taylor(grid, problem)

@@ -108,6 +108,18 @@ def test_linear_integrand_matches_closed_form(alpha):
     assert rel < 5e-15
 
 
+@pytest.mark.parametrize("alpha", [150.5, 160.5, 170.5])
+def test_power_rule_holds_up_to_the_largest_alpha(alpha):
+    # the m = 2 moment's series converges slowest, by pass 135 at alpha 170.6
+    grid = make_grid(0.0, 60.0, 1.0, 9)
+    got = gfi_apply(SampledFunction(grid, grid.s_nodes.copy()), alpha).values
+    with mpmath.workdps(50):
+        for j in range(1, 9):
+            s = mpmath.mpf(float(grid.s_nodes[j]))
+            want = float(s ** (alpha + 1) / mpmath.gamma(alpha + 2))
+            assert ulp_gap(float(got[j]), want) <= 3.0, j
+
+
 def test_weights_nonnegative_and_triangular():
     for alpha in (0.2, 0.7, 1.0, 1.6):
         grid = make_grid(0.0, 1.0, 1.0, 33)
@@ -491,6 +503,13 @@ def test_moments_are_read_only():
             with pytest.raises(ValueError):
                 arr[1] = 0.0
     assert fracops._ramp_moments(0.7, 300)[0][1] == uncut_ramp_moments(0.7, 1)[0][1]
+
+
+def test_too_large_alpha_is_refused_before_a_table_is_kept():
+    cold_moments()
+    with pytest.raises(ValueError, match="too large"):
+        build_weights(make_grid(0.0, 1.0, 1.0, 9), 171.0)
+    assert fracops._cached_moment_table.cache_info().currsize == 0
 
 
 def test_threads_building_weights_match_a_serial_build():
