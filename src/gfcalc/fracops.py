@@ -46,10 +46,11 @@ __all__ = [
 
 _REFERENCE_TOL = 1e-10     # gfi_reference and the study oracle, by default
 _REFERENCE_MAX_DEPTH = 16
-# apply_exact's slice caps; a level holds at most _WEIGHT_SLICES slice pairs,
-# so only that cap sets beta, and values may take more slices than weights
-_WEIGHT_SLICES = 6
-_VALUE_SLICES = 12
+# apply_exact's slice caps: weights and values each take at most _MAX_SLICES
+# slices, and a level, the slice pairs p + q = s, at most _LEVEL_PAIRS pairs,
+# so that cap alone sets beta and the fewer of the two splits must fit in it
+_LEVEL_PAIRS = 6
+_MAX_SLICES = 12
 # _ramp_moments keeps its last _MOMENT_CACHE_SIZE tables of m_max at most
 # _MOMENT_CACHE_M: with 32 bytes per m (two 16-byte longdoubles) at most
 # about 2.1 MB, enough for four problems solved at n 1025, 2049 and 4097
@@ -298,10 +299,11 @@ class QuadratureWeights:
     The weight side of the fast sums is computed on first use and kept for
     the life of the instance, with no key beyond the instance itself: the
     band's spectrum for :meth:`apply_fft` (16 n bytes at n = 2**k + 1), and
-    for :meth:`apply_exact` the weight slices with their spectra (at most
-    ``_WEIGHT_SLICES`` of each, at most about 0.8 MB at n = 4097).  They
-    are the same arrays, from the same arithmetic, that each call would
-    compute, so every result keeps its bytes.
+    for :meth:`apply_exact` the column-0 part of each weight slice and the
+    spectrum of its band part (at most ``_MAX_SLICES`` of each, at most
+    about 1.2 MB at n = 4097).  They are the same arrays, from the same
+    arithmetic, that each call would compute, so every result keeps its
+    bytes.
     """
 
     alpha: float
@@ -345,20 +347,22 @@ class QuadratureWeights:
     @property
     def _beta(self) -> int:
         """:meth:`apply_exact`'s slice width in bits."""
-        return (45 - (_WEIGHT_SLICES * self.grid.n_nodes).bit_length()) // 2
+        return (45 - (_LEVEL_PAIRS * self.grid.n_nodes).bit_length()) // 2
 
     @cached_property
     def _weight_split(self):
-        """(e, slices, spectra): ``first`` and ``band`` split together by
-        :func:`_int_slices`, and each slice's band part transformed; None
-        when the weights need more than ``_WEIGHT_SLICES`` slices."""
+        """(e, heads, spectra): ``first`` and ``band`` split together by
+        :func:`_int_slices`, and of each slice a copy of its column-0 part
+        and the spectrum of its band part; None when the weights need more
+        than ``_MAX_SLICES`` slices."""
         split = _int_slices(np.concatenate((self.first, self.band)), self._beta,
-                            _WEIGHT_SLICES)
+                            _MAX_SLICES)
         if split is None:
             return None
         e, slices = split
         n = self.grid.n_nodes
-        return e, slices, [np.fft.rfft(s[n:], self._fft_size) for s in slices]
+        return (e, [s[:n].copy() for s in slices],
+                [np.fft.rfft(s[n:], self._fft_size) for s in slices])
 
     def apply_exact(self, values: np.ndarray) -> np.ndarray:
         """The library's history sum W v in O(n log n), each node within
@@ -368,9 +372,11 @@ class QuadratureWeights:
 
         The weights and the values are split error-free into integer slices
         of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012);
-        column 0 is split with the band.  A level holds at most
-        ``_WEIGHT_SLICES`` slice pairs, so beta keeps every level's integer
-        sum below 2**45 (``_WEIGHT_SLICES`` * n * 2**(2 beta)), and the FFT
+        column 0 is split with the band.  Each takes at most ``_MAX_SLICES``
+        (12) slices, and a level at most ``_LEVEL_PAIRS`` (6) slice pairs,
+        which holds whenever the weights or the values take at most 6; so
+        beta keeps every level's integer sum below 2**45
+        (``_LEVEL_PAIRS`` * n * 2**(2 beta)), and the FFT
         convolutions, at :meth:`apply_fft`'s length, round back to exact
         integers; beta is 17 at n = 257, 16 at 1025, 15 at 4097 and 14 at
         16385.  Level s collects the slice pairs p + q = s, one inverse FFT
@@ -382,28 +388,31 @@ class QuadratureWeights:
         keeps them; every call splits and transforms only its values.
 
         Falls back to :meth:`apply` when exactness cannot be shown: values
-        that are not finite; weights that need more than ``_WEIGHT_SLICES``
-        slices (from order alpha about 4.9 at n = 1025, 3.8 at 4097 and 3.3
-        at 16385); values that need more than ``_VALUE_SLICES``, which with
-        full 53-bit mantissas means a largest |value| above about
-        2**(12 beta - 53) times the smallest nonzero one (2**139 at n = 1025,
-        2**127 at 4097, 2**115 at 16385); splitting constants or levels
-        outside the normal range (as for values above about 1e296, or
-        standard-normal values scaled below about 1e-260, 1e-266 at n = 257);
-        or an FFT output more than 1/8 from an integer.
+        that are not finite; weights or values that need more than
+        ``_MAX_SLICES`` slices, for weights from order alpha about 14.2 at
+        n = 1025, 11.2 at 4097 and 7.9 at 16385, and for values with full
+        53-bit mantissas a largest |value| above about 2**(12 beta - 53)
+        times the smallest nonzero one (2**139 at n = 1025, 2**127 at 4097,
+        2**115 at 16385); weights and values that both need more than
+        ``_LEVEL_PAIRS`` slices, so that a level would hold more pairs
+        (weights do from order alpha about 4.9 at n = 1025, 3.8 at 4097 and
+        3.1 at 16385); splitting constants or levels outside the normal
+        range (as for values above about 1e296, or standard-normal values
+        scaled below about 1e-260, 1e-266 at n = 257); or an FFT output more
+        than 1/8 from an integer.
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)
         beta = self._beta
         split_w = self._weight_split
-        split_v = (_int_slices(vals, beta, _VALUE_SLICES)
+        split_v = (_int_slices(vals, beta, _MAX_SLICES)
                    if split_w is not None and np.all(np.isfinite(vals)) else None)
-        if split_v is None:
+        if split_v is None or min(len(split_w[1]), len(split_v[1])) > _LEVEL_PAIRS:
             return self.apply(vals)
-        (e_w, w_slices, w_spectra), (e_v, v_slices) = split_w, split_v
+        (e_w, w_heads, w_spectra), (e_v, v_slices) = split_w, split_v
         if not v_slices:
             return np.zeros(n)
-        levels = len(w_slices) + len(v_slices) - 1
+        levels = len(w_heads) + len(v_slices) - 1
         scale = e_w + e_v - 2 * beta     # level s counts 2**(scale - beta s)
         if (scale - beta * (levels - 1) < -1022
                 or e_w + e_v + (2 * n).bit_length() > 1023):
@@ -411,14 +420,14 @@ class QuadratureWeights:
         size = self._fft_size
         v_spectra = [np.fft.rfft(s[1:], size) for s in v_slices]
         for level in range(levels):
-            pairs = [(p, level - p) for p in range(len(w_slices))
+            pairs = [(p, level - p) for p in range(len(w_heads))
                      if 0 <= level - p < len(v_slices)]
             conv = np.fft.irfft(sum(w_spectra[p] * v_spectra[q] for p, q in pairs),
                                 size)[:n - 1]
             ints = np.rint(conv)
             if np.any(np.abs(conv - ints) > 0.125):
                 return self.apply(vals)
-            total = sum(w_slices[p][:n] * v_slices[q][0] for p, q in pairs)
+            total = sum(w_heads[p] * v_slices[q][0] for p, q in pairs)
             total[1:] += ints
             part = np.ldexp(total, scale - beta * level)
             if level == 0:

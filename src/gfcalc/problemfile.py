@@ -15,7 +15,12 @@ lines ignored.  Numbers are floats, ``y0`` is a bracketed list.  Example::
     solver.max_iter = 200        # optional
     solver.lipschitz_L = 1.0     # optional
 
-Unknown, duplicate, or missing required keys are errors naming the key.
+Every field of ``IVProblem`` and ``SolverConfig`` is a key, ``problem.<field>``
+and ``solver.<field>``, its value parsed by the field's annotation (``float``,
+``int``, ``tuple``, ``float | None``), and a key is optional exactly when its
+field has a default.  ``problem.rhs`` names a registered rhs and takes its
+parameters from the ``problem.rhs.*`` keys.  Unknown, duplicate, or missing
+required keys are errors naming the key.
 """
 
 from __future__ import annotations
@@ -60,31 +65,23 @@ def _parse_list(key: str, raw: str, lineno: int) -> tuple:
                  for part in inner.split(","))
 
 
-# every key, with the parser of its value; a key is required exactly when its
-# field has no default.  problem.rhs names a registered rhs and is resolved
-# together with its problem.rhs.* parameters.
-_KEYS = {
-    "problem.alpha": _parse_float,
-    "problem.rho": _parse_float,
-    "problem.y0": _parse_list,
-    "problem.rhs": None,
-    "problem.h_star": _parse_float,
-    "problem.K": _parse_float,
-    "solver.n_nodes": _parse_int,
-    "solver.tol": _parse_float,
-    "solver.max_iter": _parse_int,
-    "solver.lipschitz_L": _parse_float,
-}
+# the dataclasses are the schema: every field is a key, required exactly when
+# it has no default, and its value is parsed by its annotation's parser
+_KEYS = {f"{section}.{field.name}": field
+         for section, cls in (("problem", IVProblem), ("solver", SolverConfig))
+         for field in dataclasses.fields(cls)}
+_RHS = "problem.rhs"     # resolved together with its problem.rhs.* parameters
+_PARSER_OF = {"float": _parse_float, "float | None": _parse_float,
+              "int": _parse_int, "tuple": _parse_list}
+_PARSERS = {key: _PARSER_OF[field.type] for key, field in _KEYS.items() if key != _RHS}
 
 
-def _values(section: str, cls, entries: dict) -> dict:
-    """The parsed value of each ``cls`` field set in ``entries``, in field order."""
-    values = {}
-    for field in dataclasses.fields(cls):
-        key = f"{section}.{field.name}"
-        if key in entries:
-            values[field.name] = _KEYS[key](key, *entries[key])
-    return values
+def _values(section: str, entries: dict) -> dict:
+    """The parsed value of each ``section`` key set in ``entries``, by field
+    name in field order."""
+    return {key.partition(".")[2]: parse(key, *entries[key])
+            for key, parse in _PARSERS.items()
+            if key.startswith(section + ".") and key in entries}
 
 
 def parse_problem(text: str) -> tuple[IVProblem, SolverConfig]:
@@ -107,8 +104,8 @@ def parse_problem(text: str) -> tuple[IVProblem, SolverConfig]:
 
     rhs_params: dict[str, float] = {}
     for key in list(entries):
-        if key.startswith("problem.rhs."):
-            pname = key[len("problem.rhs."):]
+        if key.startswith(_RHS + "."):
+            pname = key[len(_RHS) + 1:]
             if not pname:
                 raise _fail(entries[key][1], f"empty rhs parameter name in {key!r}")
             raw, lineno = entries.pop(key)
@@ -117,21 +114,19 @@ def parse_problem(text: str) -> tuple[IVProblem, SolverConfig]:
     for key, (_, lineno) in entries.items():
         if key not in _KEYS:
             raise _fail(lineno, f"unknown key {key!r}")
-    for section, cls in (("problem", IVProblem), ("solver", SolverConfig)):
-        for field in dataclasses.fields(cls):
-            key = f"{section}.{field.name}"
-            if field.default is dataclasses.MISSING and key not in entries:
-                raise _fail(None, f"missing required key {key!r}")
+    for key, field in _KEYS.items():
+        if field.default is dataclasses.MISSING and key not in entries:
+            raise _fail(None, f"missing required key {key!r}")
 
-    rhs_name, rhs_line = entries.pop("problem.rhs")
+    rhs_name, rhs_line = entries.pop(_RHS)
     if rhs_name not in rhs_names():
         raise _fail(rhs_line, f"problem.rhs: unknown rhs {rhs_name!r}; "
                               f"known: {', '.join(rhs_names())}")
     # the problem, rhs first, is built and checked before any solver value is read
     try:
         rhs = make_rhs(rhs_name, rhs_params)
-        problem = IVProblem(rhs=rhs, **_values("problem", IVProblem, entries))
-        config = SolverConfig(**_values("solver", SolverConfig, entries))
+        problem = IVProblem(rhs=rhs, **_values("problem", entries))
+        config = SolverConfig(**_values("solver", entries))
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
     return problem, config

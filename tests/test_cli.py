@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from gfcalc import cli
+from gfcalc import cli, fracops
 from gfcalc.cli import main, read_xy_csv
 from gfcalc.fracops import RefinementError
 from gfcalc.solver import SolverConfig, solve_picard
@@ -114,14 +114,36 @@ def test_solve_writes_csv_and_report(tmp_path, capsys):
     assert re.search(r"iterations = \d+", out)
 
 
-def test_solve_reruns_byte_identical(tmp_path, capsys):
-    prob = write(tmp_path / "lin.prob", LIN_PROB)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    code1, out1, _ = run(capsys, ["solve", prob, "-o", str(a)])
-    code2, out2, _ = run(capsys, ["solve", prob, "-o", str(b)])
-    assert code1 == code2 == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert out1 == out2
+RERUNS = {
+    "solve": ["solve", "{prob}", "-o", "{out}"],
+    "study": ["study", "{prob}", "--resolutions", "33,65"],
+    "operator-integral": ["operator", "integral", "{data}",
+                          "--alpha", "0.5", "--rho", "2.0", "--a", "0"],
+    "operator-deriv": ["operator", "deriv", "{data}",
+                       "--alpha", "0.6", "--rho", "1.4", "--a", "0"],
+    "operator-caputo": ["operator", "caputo", "{data}", "--alpha", "1.5",
+                        "--rho", "0.5", "--a", "0", "--init", "0,3"],
+    "ml": ["ml", "0.5", "-1.5"],
+    "stirling": ["stirling", "2", "3", "6"],
+}
+
+
+@pytest.mark.parametrize("command", RERUNS)
+def test_command_reruns_byte_identical(command, tmp_path, capsys):
+    # the first run computes its moment tables afresh, the second takes them
+    # from the cache, so both must give the same bytes
+    x = np.linspace(0.0, 1.0, 129)
+    paths = {"prob": write(tmp_path / "lin.prob", LIN_PROB),
+             "data": write_xy(tmp_path / "sin.csv", x, np.sin(3.0 * x))}
+    fracops._cached_moment_table.cache_clear()
+    runs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        argv = [arg.format(out=out, **paths) for arg in RERUNS[command]]
+        code, stdout, stderr = run(capsys, argv)
+        runs.append((code, stdout, stderr, out.read_bytes() if out.exists() else None))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
 
 
 def test_solve_output_parses_back_losslessly(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Problem-file parsing: the flat section.key = value format."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -7,7 +11,7 @@ import pytest
 
 from gfcalc import problemfile
 from gfcalc.problemfile import ProblemFileError, load_problem, parse_problem
-from gfcalc.solver import make_rhs
+from gfcalc.solver import IVProblem, SolverConfig, make_rhs
 
 GOOD = """\
 # linear test problem
@@ -211,3 +215,30 @@ def test_readme_problem_file_block_parses():
     assert problem.rhs == make_rhs("linear", {"lambda": -1.0})
     assert config.n_nodes == 257
     assert config.lipschitz_L == 1.0
+
+
+def test_keys_are_the_dataclass_fields():
+    fields = {f"{section}.{field.name}"
+              for section, cls in (("problem", IVProblem), ("solver", SolverConfig))
+              for field in dataclasses.fields(cls)}
+    assert set(problemfile._KEYS) == fields
+    assert set(problemfile._PARSERS) == fields - {"problem.rhs"}
+
+
+def test_field_without_a_parser_fails_at_import():
+    # a SolverConfig field of an annotation no parser reads, then a fresh import
+    code = textwrap.dedent("""\
+        import dataclasses, importlib, sys
+        from gfcalc import solver
+        solver.SolverConfig = dataclasses.make_dataclass(
+            "SolverConfig", [("shift", "complex", dataclasses.field(default=0j))])
+        del sys.modules["gfcalc.problemfile"]
+        try:
+            importlib.import_module("gfcalc.problemfile")
+        except KeyError as exc:
+            print("refused", exc)
+        """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout == "refused 'complex'\n", done.stderr

@@ -296,6 +296,27 @@ def test_apply_exact_within_an_ulp_of_the_exact_sum(alpha, n):
                 assert abs(Fraction(float(got[i])) - exact[i]) <= ulp, (entry, kind, i)
 
 
+def test_apply_exact_sums_high_order_weights_exactly(monkeypatch):
+    # alpha 7 weights take 7 slices at n = 257; a level still holds at most
+    # 6 slice pairs, since the signed values take fewer
+    n = 257
+    w = build_weights(make_grid(0.0, 1.4, 1.0, n), 7.0)
+    vals = np.random.default_rng(n).standard_normal(n)
+
+    def no_apply(self, values):
+        raise AssertionError("apply_exact fell back to apply")
+
+    monkeypatch.setattr(QuadratureWeights, "apply", no_apply)
+    got = w.apply_exact(vals)
+    assert len(w._weight_split[1]) == 7
+    exact_vals = [Fraction(float(v)) for v in vals]
+    assert got[0] == 0.0
+    for i in range(1, n):
+        exact = sum(Fraction(float(wij)) * vj for wij, vj in zip(w.row(i), exact_vals))
+        ulp = Fraction(float(np.spacing(abs(float(exact)))))
+        assert abs(Fraction(float(got[i])) - exact) <= ulp, i
+
+
 @pytest.mark.parametrize("alpha,rho,n", [
     (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
     (0.25, 2.0, 1025),
@@ -389,8 +410,8 @@ def test_apply_exact_falls_back_when_an_fft_output_is_off_an_integer(monkeypatch
 # ---------------------------------------------------------------------------
 
 def uncut_ramp_moments(alpha: float, m_max: int):
-    """The moment series as it was before the per-m cutoff and the cache:
-    every m is summed until the m = 2 term has converged."""
+    """The moment series with no cache: every m is summed until the m = 2
+    term has converged, at most 161 passes, the library's cap."""
     one = np.longdouble(1.0)
     al = np.longdouble(alpha)
     p = np.zeros(m_max + 1, dtype=np.longdouble)
@@ -408,7 +429,7 @@ def uncut_ramp_moments(alpha: float, m_max: int):
         power = beta * beta2
         acc = coeff * power / 3.0
         k = 1
-        while k <= 81:
+        while k <= 161:
             coeff *= (al - one - k) / (k + one)
             coeff *= (al - 2.0 - k) / (k + 2.0)
             k += 2
@@ -434,13 +455,15 @@ def cold_moments():
     fracops._cached_moment_table.cache_clear()
 
 
-MOMENT_ALPHAS = [0.05, 0.3, 0.5, 0.999, 1.0, 1.5, 2.0, 2.5, 3.7, 4.9, 7.0, 10.0]
+MOMENT_ALPHAS = [0.05, 0.3, 0.5, 0.999, 1.0, 1.5, 2.0, 2.5, 3.7, 4.9, 7.0, 10.0,
+                 150.5]
 
 
 @pytest.mark.parametrize("alpha", MOMENT_ALPHAS)
 def test_moment_prefixes_match_the_uncut_series(alpha):
-    # the cut is decided per m, so a table's prefix is the table at its own
-    # length, and both are the uncut series
+    # every m takes the passes of m = 2, so a table's prefix is the table at
+    # its own length, and both are the series computed afresh; at alpha
+    # 150.5, m = 2 takes more than 81 passes
     cold_moments()
     long = fracops._ramp_moments(alpha, 4096)
     for m_max in (1, 2, 3, 64, 300, 1024, 2048, 4095, 4096):
