@@ -32,7 +32,7 @@ from .fracops import (
     gfi_apply,
     make_grid,
 )
-from .problemfile import ProblemFileError, load_problem
+from .problemfile import load_problem
 from .solver import (
     DomainExitError,
     MarchingError,
@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("--rho", type=float, required=True, help="kernel scale, > 0")
     p_op.add_argument("--a", type=float, required=True, help="left endpoint, >= 0")
     p_op.add_argument("--init", type=_init_list, default=None, metavar="C0[,C1...]",
-                      help="initial derivatives at a (caputo only)")
+                      help="initial derivatives at a (caputo only); write a negative "
+                           "first value as --init=-0.5,0")
     p_op.set_defaults(func=cmd_operator)
 
     p_ml = sub.add_parser("ml", help="Mittag-Leffler function value")
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ProblemFileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, RefinementError, DomainExitError,

@@ -47,8 +47,8 @@ __all__ = [
 _REFERENCE_TOL = 1e-10     # gfi_reference and the study oracle, by default
 _REFERENCE_MAX_DEPTH = 16
 # apply_exact's slice caps: weights and values each take at most _MAX_SLICES
-# slices, and a level, the slice pairs p + q = s, at most _LEVEL_PAIRS pairs,
-# so that cap alone sets beta and the fewer of the two splits must fit in it
+# slices, and a level sums its slice pairs p + q = s in chunks of at most
+# _LEVEL_PAIRS pairs, one inverse FFT each, so that cap alone sets beta
 _LEVEL_PAIRS = 6
 _MAX_SLICES = 12
 # _ramp_moments keeps its last _MOMENT_CACHE_SIZE tables of m_max at most
@@ -263,18 +263,24 @@ def _int_slices(x: np.ndarray, beta: int, cap: int):
 
     Returns (e, slices) with x == sum_k slices[k] * 2**(e - beta*(k+1))
     exactly and |slices[k]| <= 2**beta, or None when that takes more than
-    ``cap`` slices or a splitting constant leaves the normal range.
-    Slice k is the rest rounded to a multiple of 2**unit by adding and
+    ``cap`` slices.  The split runs on x * 2**-e, whose largest magnitude
+    lies in [1/2, 1), so every splitting constant is normal whatever the
+    range of x.  An entry that the scale flushes to zero (only an e > 0
+    can) is refused here; one that it rounds but keeps is subnormal, below
+    the last of ``cap`` slices, and refused by the cap.  Slice k is the rest
+    rounded to a multiple of 2**unit, unit = -beta*(k+1), by adding and
     subtracting sigma = 1.5 * 2**(unit + 52), whose ulp is 2**unit (Rump,
     Ogita & Oishi's ExtractScalar); the rest stays exact.
     """
     e = math.frexp(float(np.max(np.abs(x))))[1]    # max |x| < 2**e
+    rest = np.ldexp(x, -e)
+    if e > 0 and np.count_nonzero(rest) != np.count_nonzero(x):
+        return None
     slices = []
-    rest = x
     while np.any(rest):
-        unit = e - beta * (len(slices) + 1)
-        if len(slices) == cap or not -1022 <= unit + 52 <= 1022:
+        if len(slices) == cap:
             return None
+        unit = -beta * (len(slices) + 1)
         sigma = 1.5 * 2.0 ** (unit + 52)
         top = (rest + sigma) - sigma
         rest = rest - top
@@ -373,33 +379,28 @@ class QuadratureWeights:
         The weights and the values are split error-free into integer slices
         of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012);
         column 0 is split with the band.  Each takes at most ``_MAX_SLICES``
-        (12) slices, and a level at most ``_LEVEL_PAIRS`` (6) slice pairs,
-        which holds whenever the weights or the values take at most 6; so
-        beta keeps every level's integer sum below 2**45
-        (``_LEVEL_PAIRS`` * n * 2**(2 beta)), and the FFT
-        convolutions, at :meth:`apply_fft`'s length, round back to exact
-        integers; beta is 17 at n = 257, 16 at 1025, 15 at 4097 and 14 at
-        16385.  Level s collects the slice pairs p + q = s, one inverse FFT
-        each, and the levels, exact and largest first, are added by a TwoSum
-        chain with a second accumulator.  That adds them as if in twice the
-        working precision, so only a node whose sum cancels to below about
-        1e-13 of its largest level can be off by more than an ulp.  The
-        first call on an instance splits and transforms the weights and
-        keeps them; every call splits and transforms only its values.
+        (12) slices.  Level s collects the slice pairs p + q = s in chunks of
+        at most ``_LEVEL_PAIRS`` (6) pairs, one inverse FFT each; beta keeps
+        every chunk's integer sum below 2**45 (``_LEVEL_PAIRS`` * n *
+        2**(2 beta)), so the FFT convolutions, at :meth:`apply_fft`'s
+        length, round back to exact integers; beta is 17 at n = 257, 16 at
+        1025, 15 at 4097 and 14 at 16385.  The levels, exact and largest
+        first, are added by a TwoSum chain with a second accumulator, at the
+        scale 2**-(e_w + e_v) of the two splits, where every level is normal,
+        and the result is scaled back once.  That adds them as if in twice
+        the working precision, so only a node whose sum cancels to below
+        about 1e-13 of its largest level can be off by more than an ulp.  A
+        sum that overflows comes back as +-inf.  The first call on an
+        instance splits and transforms the weights and keeps them; every
+        call splits and transforms only its values.
 
-        Falls back to :meth:`apply` when exactness cannot be shown: values
-        that are not finite; weights or values that need more than
-        ``_MAX_SLICES`` slices, for weights from order alpha about 14.2 at
-        n = 1025, 11.2 at 4097 and 7.9 at 16385, and for values with full
-        53-bit mantissas a largest |value| above about 2**(12 beta - 53)
-        times the smallest nonzero one (2**139 at n = 1025, 2**127 at 4097,
-        2**115 at 16385); weights and values that both need more than
-        ``_LEVEL_PAIRS`` slices, so that a level would hold more pairs
-        (weights do from order alpha about 4.9 at n = 1025, 3.8 at 4097 and
-        3.1 at 16385); splitting constants or levels outside the normal
-        range (as for values above about 1e296, or standard-normal values
-        scaled below about 1e-260, 1e-266 at n = 257); or an FFT output more
-        than 1/8 from an integer.
+        Falls back to :meth:`apply` in three cases only: values that are not
+        finite; weights or values that need more than ``_MAX_SLICES``
+        slices, for weights from order alpha about 14.2 at n = 1025, 11.2 at
+        4097 and 7.9 at 16385, and for values with full 53-bit mantissas a
+        largest |value| above about 2**(12 beta - 53) times the smallest
+        nonzero one (2**139 at n = 1025, 2**127 at 4097, 2**115 at 16385);
+        or an FFT output more than 1/8 from an integer.
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)
@@ -407,35 +408,34 @@ class QuadratureWeights:
         split_w = self._weight_split
         split_v = (_int_slices(vals, beta, _MAX_SLICES)
                    if split_w is not None and np.all(np.isfinite(vals)) else None)
-        if split_v is None or min(len(split_w[1]), len(split_v[1])) > _LEVEL_PAIRS:
+        if split_v is None:
             return self.apply(vals)
         (e_w, w_heads, w_spectra), (e_v, v_slices) = split_w, split_v
         if not v_slices:
             return np.zeros(n)
-        levels = len(w_heads) + len(v_slices) - 1
-        scale = e_w + e_v - 2 * beta     # level s counts 2**(scale - beta s)
-        if (scale - beta * (levels - 1) < -1022
-                or e_w + e_v + (2 * n).bit_length() > 1023):
-            return self.apply(vals)
         size = self._fft_size
         v_spectra = [np.fft.rfft(s[1:], size) for s in v_slices]
-        for level in range(levels):
+        for level in range(len(w_heads) + len(v_slices) - 1):
             pairs = [(p, level - p) for p in range(len(w_heads))
                      if 0 <= level - p < len(v_slices)]
-            conv = np.fft.irfft(sum(w_spectra[p] * v_spectra[q] for p, q in pairs),
-                                size)[:n - 1]
-            ints = np.rint(conv)
-            if np.any(np.abs(conv - ints) > 0.125):
-                return self.apply(vals)
             total = sum(w_heads[p] * v_slices[q][0] for p, q in pairs)
-            total[1:] += ints
-            part = np.ldexp(total, scale - beta * level)
+            for c in range(0, len(pairs), _LEVEL_PAIRS):
+                chunk = pairs[c:c + _LEVEL_PAIRS]
+                conv = np.fft.irfft(sum(w_spectra[p] * v_spectra[q] for p, q in chunk),
+                                    size)[:n - 1]
+                ints = np.rint(conv)
+                if np.any(np.abs(conv - ints) > 0.125):
+                    return self.apply(vals)
+                total[1:] += ints
+            # level s counts 2**(e_w + e_v - beta (s + 2)); the chain runs at
+            # 2**-(e_w + e_v), where every level is normal
+            part = np.ldexp(total, -beta * (level + 2))
             if level == 0:
                 acc, comp = part, np.zeros(n)
             else:
                 acc, err = _two_sum(acc, part)
                 comp += err
-        out = acc + comp
+        out = np.ldexp(acc + comp, e_w + e_v)
         out[0] = 0.0
         return out
 
@@ -479,11 +479,10 @@ def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
     p, q = _ramp_moments(alpha, n - 1)
     # moments carry the extra alpha, so the prefactor divides by Gamma(alpha+1)
     pref = np.power(np.longdouble(ds), np.longdouble(alpha)) / np.longdouble(gam)
+    # each weight rounds once to double; band[d] is cell distance d, and
+    # p[0] is exactly 0
     first = (pref * p).astype(float)
-    # each weight rounds once to double; band[d] is cell distance d
-    band = np.empty(n - 1)
-    band[0] = pref * q[1]
-    band[1:] = pref * (p[1:-1] + q[2:])
+    band = (pref * (p[:-1] + q[1:])).astype(float)
     first.setflags(write=False)
     band.setflags(write=False)
     return QuadratureWeights(alpha=float(alpha), grid=grid, first=first, band=band)

@@ -367,7 +367,8 @@ def _solver_setup(problem: IVProblem, config: SolverConfig):
 def solve_picard(problem: IVProblem, config: SolverConfig):
     """Iterate y <- T + I^alpha f(., y) from y = T until the sup-norm update
     falls below tol.  Returns (solution, report); raises NonConvergenceError
-    carrying both if max_iter is exhausted.
+    carrying both if max_iter is exhausted, and OverflowError if an iterate
+    is not finite.
 
     While the updates still shrink, each iterate takes its history sum from
     the O(n log n) FFT convolution (``QuadratureWeights.apply_fft``).  The
@@ -394,17 +395,19 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     fft_iterations = 0
     converged = False
     for k in range(config.max_iter):
-        with np.errstate(all="ignore"):
-            fvals = _eval_rhs(problem, grid.x_nodes, y)
         # every iteration so far took the FFT path, and this is not the last
         fft = fft_iterations == k and k + 1 < config.max_iter
-        y_next = t + (weights.apply_fft if fft else weights.apply_exact)(fvals)
-        delta = float(np.max(np.abs(y_next - y)))
-        if fft and (delta <= config.tol or (deltas and delta >= deltas[-1])):
-            y_next = t + weights.apply_exact(fvals)
+        with np.errstate(all="ignore"):     # an overflow is refused below
+            fvals = _eval_rhs(problem, grid.x_nodes, y)
+            y_next = t + (weights.apply_fft if fft else weights.apply_exact)(fvals)
             delta = float(np.max(np.abs(y_next - y)))
-        elif fft:
-            fft_iterations += 1
+            if fft and (delta <= config.tol or (deltas and delta >= deltas[-1])):
+                y_next = t + weights.apply_exact(fvals)
+                delta = float(np.max(np.abs(y_next - y)))
+            elif fft:
+                fft_iterations += 1
+        if not math.isfinite(delta):    # y is finite, so y_next is not finite
+            raise OverflowError(f"Picard iterate {k + 1} is not finite")
         _check_in_box(y_next, t, problem.K, "Picard iterate")
         deltas.append(delta)
         y = y_next

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,24 @@ def test_solve_overflowing_rhs_is_one_error_line(tmp_path, capsys):
     assert err == "error: rhs is not finite on the existence box\n"
 
 
+def test_solve_overflowing_picard_iterate_is_an_overflow(tmp_path, capsys):
+    # the FFT sum of y = 1e307 overflows; the iterate is refused as an
+    # overflow (exit 2), not passed on to the rhs as if the input were at
+    # fault, and numpy must not warn first
+    text = (LIN_PROB.replace("problem.y0 = [1.0]", "problem.y0 = [1e307]")
+            .replace("problem.rhs.lambda = -1.0", "problem.rhs.lambda = 1.0")
+            .replace("problem.K = 1.0", "problem.K = 1e307")
+            .replace("solver.n_nodes = 129", "solver.n_nodes = 257")
+            .replace("solver.lipschitz_L = 1.0\n", ""))
+    argv = _solve_argv(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: overflow in solve ({argv[1]}): Picard iterate 1 is not finite\n"
+
+
 # ---------------------------------------------------------------------------
 # operator
 # ---------------------------------------------------------------------------
@@ -275,6 +294,23 @@ def test_operator_init_only_for_caputo(tmp_path, capsys):
                                 "--rho", "1.0", "--a", "0", "--init", "1,x"])
     assert code == 1
     assert "--init: expected comma-separated numbers, got '1,x'" in err
+
+
+def test_operator_caputo_takes_a_negative_first_init_value(tmp_path, capsys):
+    # "--init -0.5,0" reads as an option to argparse; the = form passes it on
+    x = np.linspace(0.0, 1.0, 33)
+    src = write_xy(tmp_path / "d.csv", x, np.sin(3.0 * x) - 0.5)
+    code, out, err = run(capsys, ["operator", "caputo", src, "--alpha", "1.5",
+                                  "--rho", "1", "--a", "0", "--init=-0.5,0"])
+    assert code == 0
+    dest = tmp_path / "res.csv"
+    dest.write_text(out, encoding="utf-8")
+    _, f = read_xy_csv(str(dest))
+    x_in, f_in = read_xy_csv(src)
+    grid = fracops.make_grid(0.0, 1.0, 1.0, 33)
+    want = fracops.gfd_caputo(fracops.SampledFunction(grid, np.interp(grid.x_nodes, x_in, f_in)),
+                              1.5, (-0.5, 0.0)).values
+    assert np.array_equal(f, want)
 
 
 def test_operator_rejects_bad_csv(tmp_path, capsys):

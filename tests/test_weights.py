@@ -35,6 +35,42 @@ def ulp_gap(got: float, want: float) -> float:
     return abs(got - want) / np.spacing(max(abs(got), abs(want)))
 
 
+def exact_node_sums(weights, vals) -> list:
+    """The exact sum of stored weight times value at every node, as
+    Fractions, from integers on a common denominator."""
+    def integers(x):
+        fr = [Fraction(float(v)) for v in x]
+        den = max(f.denominator for f in fr)
+        return [int(f * den) for f in fr], den
+
+    n = weights.grid.n_nodes
+    w, w_den = integers(np.concatenate((weights.first, weights.band)))
+    v, v_den = integers(vals)
+    return [Fraction(w[i] * v[0] + sum(w[n + i - j] * v[j] for j in range(1, i + 1)),
+                     w_den * v_den) for i in range(n)]
+
+
+def assert_within_an_ulp(got: np.ndarray, exact: list, label) -> None:
+    """Nodes 1.. of got within an ulp of the exact sums; an exact sum past
+    the overflow threshold must come back as the infinity of its sign."""
+    for i in range(1, len(exact)):
+        try:
+            want = float(exact[i])
+        except OverflowError:
+            assert got[i] == (math.inf if exact[i] > 0 else -math.inf), (label, i)
+            continue
+        ulp = Fraction(float(np.spacing(abs(want))))
+        assert math.isfinite(got[i]), (label, i)
+        assert abs(Fraction(float(got[i])) - exact[i]) <= ulp, (label, i)
+
+
+def forbid_apply(monkeypatch) -> None:
+    def no_apply(self, values):
+        raise AssertionError("apply_exact fell back to apply")
+
+    monkeypatch.setattr(QuadratureWeights, "apply", no_apply)
+
+
 def classical_weights_mp(alpha: float, ds: float, n: int) -> np.ndarray:
     """Row-n product-trapezoid weights from 50-digit arithmetic.
 
@@ -317,13 +353,94 @@ def test_apply_exact_sums_high_order_weights_exactly(monkeypatch):
         assert abs(Fraction(float(got[i])) - exact) <= ulp, i
 
 
+@pytest.mark.parametrize("n", [65, 257, 1025])
+def test_apply_exact_sums_values_at_the_ends_of_the_range(n, monkeypatch):
+    # each split runs at max |x| scaled into [1/2, 1), so values near the
+    # underflow and the overflow thresholds split like any others
+    w = build_weights(make_grid(0.0, 1.4, 1.0, n), 1.5)
+    rng = np.random.default_rng(n)
+    inputs = {"tiny": rng.standard_normal(n) * 1e-290,
+              "huge": np.where(rng.random(n) < 0.5, -1e300, 1e300)}
+    forbid_apply(monkeypatch)
+    for kind, vals in inputs.items():
+        got = w.apply_exact(vals)
+        assert got[0] == 0.0, kind
+        assert_within_an_ulp(got, exact_node_sums(w, vals), kind)
+
+
+def test_apply_exact_sums_wide_weights_and_wide_values(monkeypatch):
+    # both splits take more than 6 slices, so a level holds up to 12 pairs,
+    # summed in two chunks of at most 6, one inverse FFT each
+    n = 1025
+    w = build_weights(make_grid(0.0, 1.4, 1.0, n), 5.0)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+    kw = len(w._weight_split[1])
+    kv = len(fracops._int_slices(vals, w._beta, fracops._MAX_SLICES)[1])
+    assert min(kw, kv) > fracops._LEVEL_PAIRS
+    forbid_apply(monkeypatch)
+    irfft = np.fft.irfft
+    calls = 0
+
+    def counted(a, size):
+        nonlocal calls
+        calls += 1
+        return irfft(a, size)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    got = w.apply_exact(vals)
+    pairs = [min(s + 1, kw, kv, kw + kv - 1 - s) for s in range(kw + kv - 1)]
+    assert calls == sum(-(-k // fracops._LEVEL_PAIRS) for k in pairs)
+    assert_within_an_ulp(got, exact_node_sums(w, vals), "wide")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.3])
+def test_apply_exact_within_an_ulp_where_the_last_node_cancels(alpha, monkeypatch):
+    # the last value cancels node n - 1's history to rounding level, so
+    # every level, the last one too, reaches that node's last bit
+    n = 257
+    w = build_weights(make_grid(0.0, 1.4, 1.0, n), alpha)
+    vals = np.random.default_rng(n).standard_normal(n)
+    vals[-1] = 0.0
+    vals[-1] = -w.apply_exact(vals)[-1] / w.band[0]
+    forbid_apply(monkeypatch)
+    got = w.apply_exact(vals)
+    exact = exact_node_sums(w, vals)
+    assert abs(exact[-1]) < 1e-12 * max(abs(x) for x in exact)
+    assert_within_an_ulp(got, exact, "cancelling")
+
+
+def test_apply_exact_refuses_an_entry_the_scale_would_flush(monkeypatch):
+    # scaled by 2**-e for max |v| = 1e300, the leading 1e-30 falls below the
+    # least subnormal; a split without it would sum nodes 1..n-2 to 0
+    n = 33
+    w = build_weights(make_grid(0.0, 1.0, 1.0, n), 0.7)
+    vals = np.zeros(n)
+    vals[0], vals[-1] = 1e-30, 1e300
+    want = w.apply(vals).tobytes()
+    calls = 0
+    apply = QuadratureWeights.apply
+
+    def counted(self, values):
+        nonlocal calls
+        calls += 1
+        return apply(self, values)
+
+    monkeypatch.setattr(QuadratureWeights, "apply", counted)
+    got = w.apply_exact(vals)
+    assert got.tobytes() == want
+    assert calls == 1
+    assert_within_an_ulp(got, exact_node_sums(w, vals), "flush")
+
+
 @pytest.mark.parametrize("alpha,rho,n", [
     (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
     (0.25, 2.0, 1025),
 ])
 def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
-    # the byte gate's growing and huge inputs: too many slices for the one,
-    # a splitting constant past the overflow threshold for the other
+    # the byte gate's growing input needs more than 12 slices and nan is not
+    # finite, so both go to apply; its huge input and standard-normal values
+    # scaled to 1e-290 split after scaling by 2**-e, and are summed exactly
     w = build_weights(make_grid(0.0, 1.4, rho, n), alpha)
     rng = np.random.default_rng(n)
     inputs = {
@@ -331,10 +448,10 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
         "huge": np.where(rng.random(n) < 0.5, -1e300, 1e300),
         "nan": np.where(np.arange(n) == n // 2, np.nan, 1.0),
     }
-    # drawn after the others so their data stays as it was; splits into
-    # slices, but its lowest levels fall below the normal range (the guard)
+    # drawn after the others so their data stays as it was
     inputs["tiny"] = rng.standard_normal(n) * 1e-290
-    wants = {kind: w.apply(vals).tobytes() for kind, vals in inputs.items()}
+    fallbacks = ("growing", "nan")
+    wants = {kind: w.apply(inputs[kind]).tobytes() for kind in fallbacks}
     calls = 0
     apply = QuadratureWeights.apply
 
@@ -345,28 +462,28 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
 
     monkeypatch.setattr(QuadratureWeights, "apply", counted)
     for kind, vals in inputs.items():
-        assert w.apply_exact(vals).tobytes() == wants[kind], kind
-    assert calls == len(inputs)
+        got = w.apply_exact(vals)
+        if kind in fallbacks:
+            assert got.tobytes() == wants[kind], kind
+        else:
+            assert got[0] == 0.0, kind
+            assert_within_an_ulp(got, exact_node_sums(w, vals), kind)
+    assert calls == len(fallbacks)
 
 
 def test_apply_exact_falls_back_on_a_level_past_the_overflow_threshold(monkeypatch):
-    # weights below 2**243 and values below 2**831 split into slices, but their
-    # exponents sum past 1023, the other half of the level-range guard
+    # weights below 2**243 and values below 2**831 split into slices, and
+    # the exact sums overflow: apply_exact, with no apply, returns the
+    # infinity of each sum's sign, and gfi_apply refuses the result
     w = build_weights(make_grid(0.0, 1e30, 1.0, 65), 2.5)
     vals = np.where(np.random.default_rng(65).random(65) < 0.5, -1e250, 1e250)
-    with np.errstate(over="ignore", invalid="ignore"):    # apply overflows here
-        want = w.apply(vals).tobytes()
-        calls = 0
-        apply = QuadratureWeights.apply
-
-        def counted(self, values):
-            nonlocal calls
-            calls += 1
-            return apply(self, values)
-
-        monkeypatch.setattr(QuadratureWeights, "apply", counted)
-        assert w.apply_exact(vals).tobytes() == want
-    assert calls == 1
+    forbid_apply(monkeypatch)
+    with np.errstate(over="ignore"):
+        got = w.apply_exact(vals)
+    assert np.all(np.isinf(got[1:]))
+    assert_within_an_ulp(got, exact_node_sums(w, vals), "overflow")
+    with pytest.raises(OverflowError, match="fractional integral of order 2.5"):
+        gfi_apply(SampledFunction(w.grid, vals), 2.5)
 
 
 def test_operators_and_solver_make_no_compensated_apply(monkeypatch):
@@ -630,14 +747,19 @@ def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n):
     for kind, vals in inputs.items():
         fresh = build_weights(grid, alpha).apply_exact(vals)
         assert w.apply_exact(vals).tobytes() == fresh.tobytes(), kind
-        assert fresh.tobytes() == w.apply(vals).tobytes(), kind
+        if kind in ("growing", "nan"):
+            assert fresh.tobytes() == w.apply(vals).tobytes(), kind
+        else:
+            assert_within_an_ulp(fresh, exact_node_sums(w, vals), kind)
     assert w.apply_exact(normal).tobytes() == first.tobytes()
-    # the other half of the level-range guard
+    # sums past the overflow threshold
     w = build_weights(make_grid(0.0, 1e30, 1.0, 65), 2.5)
     w.apply_exact(np.random.default_rng(65).standard_normal(65))
     vals = np.where(np.random.default_rng(65).random(65) < 0.5, -1e250, 1e250)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert w.apply_exact(vals).tobytes() == w.apply(vals).tobytes()
+    with np.errstate(over="ignore"):
+        got = w.apply_exact(vals)
+        assert got.tobytes() == build_weights(w.grid, 2.5).apply_exact(vals).tobytes()
+    assert_within_an_ulp(got, exact_node_sums(w, vals), "overflow")
 
 
 def test_apply_exact_second_call_peaks_lower():

@@ -8,9 +8,10 @@ keeps every output's bytes, so a diff of two outputs names each command whose
 bytes moved.  Each command runs in its own process with its own hash seed.
 
 Inputs: a problem file for every rhs at an order below 1 and one between 1
-and 2, with rho cycling through 0.5, 1 and 2, and two CSVs on 257 nodes,
-sin(3x) and seeded standard-normal noise.  The operator cases include one of
-order 7, whose weights take more slices than the others.  Uses only the
+and 2, with rho cycling through 0.5, 1 and 2, and CSVs on 257 nodes:
+sin(3x), seeded standard-normal noise, that noise times 1e-290, seeded signs
+times 1e300, and noise spread over e^-20..e^20.  The operator cases include
+ones of order 7, whose weights take more slices than the others.  Uses only the
 standard library and numpy, and writes only to a temporary directory.
 
     python tools/cli_bytes.py [SRC] > digests.txt     # SRC defaults to ./src
@@ -77,6 +78,19 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     commands.append(("operator caputo sin.csv without --init",
                      ["operator", "caputo", "sin.csv", "--alpha", "0.5", "--rho", "1.0",
                       "--a", "0"]))
+    # the ends of the exact sum's range: the noise scaled near the underflow
+    # and the overflow thresholds, and order 7 on data spread over e^+-20,
+    # where the weights and the values both take more than 6 slices
+    rng = np.random.default_rng(19)
+    ends = {"tiny.csv": ("0.5", data["noise.csv"][0] * 1e-290),
+            "huge.csv": ("0.5", np.where(rng.random(NODES) < 0.5, -1e300, 1e300)),
+            "wide.csv": ("7.0", rng.standard_normal(NODES)
+                         * np.exp(rng.uniform(-20.0, 20.0, NODES)))}
+    for csv, (alpha, f) in ends.items():
+        write_csv(work / csv, x, f)
+        commands.append((f"operator integral {csv} alpha {alpha}",
+                         ["operator", "integral", csv, "--alpha", alpha, "--rho", "1.0",
+                          "--a", "0"]))
 
     for alpha, z in (("1", "1"), ("0.5", "-1.5"), ("1.5", "2.5"), ("1", "600")):
         commands.append((f"ml {alpha} {z}", ["ml", alpha, z]))
