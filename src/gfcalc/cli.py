@@ -290,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ml = sub.add_parser("ml", help="Mittag-Leffler function value")
     p_ml.add_argument("alpha", type=float)
-    p_ml.add_argument("z", type=float)
+    p_ml.add_argument("z", type=float,
+                      help="argument; write a negative z in exponent form after --, "
+                           "as gfcalc ml 0.9 -- -1e-3")
     p_ml.set_defaults(func=cmd_ml)
 
     p_st = sub.add_parser("stirling", help="operator-expansion coefficient triangle")

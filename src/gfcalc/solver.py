@@ -30,6 +30,7 @@ from .fracops import (
     Grid,
     QuadratureWeights,
     SampledFunction,
+    _finite_result,
     _s_from_x,
     build_weights,
     gfi_reference,
@@ -349,12 +350,13 @@ def _ivp_taylor(grid: Grid, problem: IVProblem,
 def picard_apply(y: SampledFunction, problem: IVProblem,
                  weights: QuadratureWeights) -> SampledFunction:
     """One application of the integral operator: T + I^alpha f(., y), with
-    the history sum from ``QuadratureWeights.apply_exact``."""
+    the history sum from ``QuadratureWeights.apply_exact``.  A result that
+    overflows raises ``OverflowError``."""
     t = _ivp_taylor(y.grid, problem, weights)
     _check_in_box(y.values, t, problem.K, "iterate")
     with np.errstate(all="ignore"):
-        fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
-    return SampledFunction(y.grid, t + weights.apply_exact(fvals))
+        vals = t + weights.apply_exact(_eval_rhs(problem, y.grid.x_nodes, y.values))
+    return _finite_result(y, vals, "Picard iterate")
 
 
 def _solver_setup(problem: IVProblem, config: SolverConfig):
@@ -368,13 +370,16 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     """Iterate y <- T + I^alpha f(., y) from y = T until the sup-norm update
     falls below tol.  Returns (solution, report); raises NonConvergenceError
     carrying both if max_iter is exhausted, and OverflowError if an iterate
-    is not finite.
+    of the exact sum is not finite.  Setup, iteration and residual run
+    under one ``np.errstate``, so an overflow raises no numpy warning.
 
-    While the updates still shrink, each iterate takes its history sum from
-    the O(n log n) FFT convolution (``QuadratureWeights.apply_fft``).  The
-    first iteration whose update is <= tol, is no smaller than the one
-    before (the FFT rounding floor), or is the last that max_iter allows is
-    redone from the same rhs values with the exact sum
+    Each iterate takes its history sum from the O(n log n) FFT convolution
+    (``QuadratureWeights.apply_fft``) while tol < delta < previous delta,
+    with previous delta = +inf on the first iteration, and the iteration is
+    not the last that max_iter allows.  The first iteration that fails this
+    test (an update within tol, one no smaller than the one before, which
+    is the FFT rounding floor, or one that is not finite, as when the FFT
+    sum overflows) is redone from the same rhs values with the exact sum
     (``QuadratureWeights.apply_exact``, also O(n log n)), and so is every
     iteration after it.  The returned iterate, the partial one of
     NonConvergenceError and the residual therefore all come from the exact
@@ -389,44 +394,44 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     them back.  Both hold the arrays a fresh computation would give, so the
     solution and report keep their bytes.
     """
-    M, h, grid, weights, t = _solver_setup(problem, config)
-    y = t.copy()
-    deltas = []
-    fft_iterations = 0
-    converged = False
-    for k in range(config.max_iter):
-        # every iteration so far took the FFT path, and this is not the last
-        fft = fft_iterations == k and k + 1 < config.max_iter
-        with np.errstate(all="ignore"):     # an overflow is refused below
+    with np.errstate(all="ignore"):     # an overflow is refused below
+        M, h, grid, weights, t = _solver_setup(problem, config)
+        y = t.copy()
+        deltas = []
+        fft_iterations = 0
+        converged = False
+        for k in range(config.max_iter):
+            # every iteration so far took the FFT path, and this is not the last
+            fft = fft_iterations == k and k + 1 < config.max_iter
             fvals = _eval_rhs(problem, grid.x_nodes, y)
             y_next = t + (weights.apply_fft if fft else weights.apply_exact)(fvals)
             delta = float(np.max(np.abs(y_next - y)))
-            if fft and (delta <= config.tol or (deltas and delta >= deltas[-1])):
+            if fft and config.tol < delta < (deltas[-1] if deltas else math.inf):
+                fft_iterations += 1
+            elif fft:
                 y_next = t + weights.apply_exact(fvals)
                 delta = float(np.max(np.abs(y_next - y)))
-            elif fft:
-                fft_iterations += 1
-        if not math.isfinite(delta):    # y is finite, so y_next is not finite
-            raise OverflowError(f"Picard iterate {k + 1} is not finite")
-        _check_in_box(y_next, t, problem.K, "Picard iterate")
-        deltas.append(delta)
-        y = y_next
-        if delta <= config.tol:
-            converged = True
-            break
-    solution = SampledFunction(grid, y)
-    report = SolverReport(
-        h_used=h,
-        M=M,
-        iterations=len(deltas),
-        fft_iterations=fft_iterations,
-        deltas=np.array(deltas),
-        omega_bounds=None if config.lipschitz_L is None else np.array(
-            [contraction_bound(j, config.lipschitz_L, h, problem.alpha, problem.rho)
-             for j in range(1, len(deltas) + 1)]),
-        residual=volterra_residual(solution, problem, weights),
-        converged=converged,
-    )
+            if not math.isfinite(delta):    # y_next, or T on the first pass, overflowed
+                raise OverflowError(f"Picard iterate {k + 1} is not finite")
+            _check_in_box(y_next, t, problem.K, "Picard iterate")
+            deltas.append(delta)
+            y = y_next
+            if delta <= config.tol:
+                converged = True
+                break
+        solution = SampledFunction(grid, y)
+        report = SolverReport(
+            h_used=h,
+            M=M,
+            iterations=len(deltas),
+            fft_iterations=fft_iterations,
+            deltas=np.array(deltas),
+            omega_bounds=None if config.lipschitz_L is None else np.array(
+                [contraction_bound(j, config.lipschitz_L, h, problem.alpha, problem.rho)
+                 for j in range(1, len(deltas) + 1)]),
+            residual=volterra_residual(solution, problem, weights),
+            converged=converged,
+        )
     if not converged:
         raise NonConvergenceError(
             f"no convergence within max_iter = {config.max_iter} "
@@ -539,7 +544,7 @@ def volterra_residual(y: SampledFunction, problem: IVProblem,
     t = _ivp_taylor(y.grid, problem, weights)
     with np.errstate(all="ignore"):
         fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
-    return float(np.max(np.abs(y.values - t - weights.apply_exact(fvals))))
+        return float(np.max(np.abs(y.values - t - weights.apply_exact(fvals))))
 
 
 def contraction_respected(report: SolverReport) -> bool:
@@ -573,11 +578,16 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     """
     grid = y.grid
     t = _ivp_taylor(grid, problem)
+    # interpolate y / 2**e, with max |y / 2**e| in [1/2, 1), so that no
+    # slope between nodes overflows; a power-of-two scale is exact in the
+    # normal range
+    e = int(np.frexp(np.max(np.abs(y.values)))[1])
+    scaled = np.ldexp(y.values, -e)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             return _eval_rhs(problem, x,
-                             np.interp(grid.s_of(x), grid.s_nodes, y.values))
+                             np.ldexp(np.interp(grid.s_of(x), grid.s_nodes, scaled), e))
 
     n = grid.n_nodes
     probes = dict.fromkeys(min(n - 1, max(1, round(frac * (n - 1))))

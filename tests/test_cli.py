@@ -72,6 +72,13 @@ def test_ml_bad_order_is_input_error(capsys):
     assert "error:" in err
 
 
+def test_ml_takes_a_negative_exponent_form_z_after_double_dash(capsys):
+    # argparse reads -1e-3 as an option; after -- it is the value of z
+    code, out, err = run(capsys, ["ml", "0.9", "--", "-1e-3"])
+    assert (code, out, err) == (0, "0.9989608421099976\n", "")
+    assert run(capsys, ["ml", "0.9", "-0.001"])[1] == out
+
+
 def test_ml_series_failure_is_computation_error(capsys):
     code, _, err = run(capsys, ["ml", "1", "600"])
     assert code == 2
@@ -207,14 +214,15 @@ def test_solve_overflowing_rhs_is_one_error_line(tmp_path, capsys):
 
 
 def test_solve_overflowing_picard_iterate_is_an_overflow(tmp_path, capsys):
-    # the FFT sum of y = 1e307 overflows; the iterate is refused as an
-    # overflow (exit 2), not passed on to the rhs as if the input were at
-    # fault, and numpy must not warn first
-    text = (LIN_PROB.replace("problem.y0 = [1.0]", "problem.y0 = [1e307]")
-            .replace("problem.rhs.lambda = -1.0", "problem.rhs.lambda = 1.0")
-            .replace("problem.K = 1.0", "problem.K = 1e307")
-            .replace("solver.n_nodes = 129", "solver.n_nodes = 257")
-            .replace("solver.lipschitz_L = 1.0\n", ""))
+    # the Taylor polynomial of 150 ones overflows at h_star 1e6, so the
+    # first iterate is not finite: refused as an overflow (exit 2), and numpy
+    # must not warn first, neither in the setup nor in the iteration
+    text = (ZERO_PROB.replace("problem.alpha = 0.7", "problem.alpha = 149.5")
+            .replace("problem.rho = 1.3", "problem.rho = 1.0")
+            .replace("problem.y0 = [2.5]",
+                     "problem.y0 = [" + ", ".join(["1.0"] * 150) + "]")
+            .replace("problem.h_star = 1.0", "problem.h_star = 1e6")
+            .replace("solver.n_nodes = 33", "solver.n_nodes = 129"))
     argv = _solve_argv(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -222,6 +230,31 @@ def test_solve_overflowing_picard_iterate_is_an_overflow(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: overflow in solve ({argv[1]}): Picard iterate 1 is not finite\n"
+
+
+def test_solve_near_the_overflow_threshold_converges(tmp_path, capsys):
+    # the FFT sum of y = 1e307 overflows; that update is redone with the
+    # exact sum like any other the FFT does not serve, so the solve
+    # converges, quietly, with the relative error of the same problem at
+    # y0 = 1
+    rel_errors = []
+    for y0 in ("1.0", "1e307"):
+        text = (LIN_PROB.replace("problem.y0 = [1.0]", f"problem.y0 = [{y0}]")
+                .replace("problem.rhs.lambda = -1.0", "problem.rhs.lambda = 1.0")
+                .replace("problem.K = 1.0", f"problem.K = {y0}")
+                .replace("solver.n_nodes = 129", "solver.n_nodes = 257")
+                .replace("solver.lipschitz_L = 1.0\n", ""))
+        argv = _solve_argv(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert "converged = yes" in out
+        problem, _ = load_problem(argv[1])
+        x, y = read_xy_csv(argv[3])
+        exact = problem.rhs.exact(problem)(x)
+        rel_errors.append(float(np.max(np.abs(y - exact))) / float(y0))
+    assert rel_errors[1] == pytest.approx(rel_errors[0], rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Initial value problem machinery: existence-box step sizing, Picard and
 marching solvers, contraction and modulus-of-continuity bounds, residuals."""
 
+import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from gfcalc import solver
 from gfcalc.fracops import (
     QuadratureWeights,
+    RefinementError,
     SampledFunction,
     build_weights,
     gfi_reference,
@@ -121,6 +124,35 @@ def test_rhs_overflow_is_refused_quietly(monkeypatch):
     with pytest.raises(ValueError, match=message):
         solve_marching(problem(y0=(1e10,), name="logistic", params={"lambda": 1e300}),
                        SolverConfig(n_nodes=33))
+
+
+def test_overflowing_history_sum_is_refused_quietly():
+    # values of 1.7e308 sum past the overflow threshold: the residual
+    # measures inf and picard_apply raises OverflowError, as the operators
+    # do, and neither lets numpy warn
+    p = problem(y0=(1.7e308,), params={"lambda": 1.0})
+    grid = make_grid(0.0, 1.0, 1.0, 257)
+    weights = build_weights(grid, p.alpha)
+    y = SampledFunction(grid, np.full(257, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert volterra_residual(y, p, weights) == math.inf
+        with pytest.raises(OverflowError, match="^Picard iterate is not finite$"):
+            picard_apply(y, p, weights)
+
+
+def test_oracle_residual_interpolates_values_near_the_overflow_threshold(monkeypatch):
+    # a solution near 1e307 has slopes between nodes past the overflow
+    # threshold; its interpolant is finite, so the oracle's rhs values are
+    # too, and a probe that cannot converge at depth 1 is a RefinementError,
+    # not a non-finite rhs
+    p = problem(y0=(1e307,), params={"lambda": 1.0}, K=1e307)
+    solution, report = solve_picard(p, SolverConfig(n_nodes=257, tol=1e-12))
+    assert report.converged
+    monkeypatch.setattr(solver, "gfi_reference", functools.partial(gfi_reference,
+                                                                    max_depth=1))
+    with pytest.raises(RefinementError):
+        oracle_residual(solution, p)
 
 
 def test_step_h_zero_m_returns_h_star():

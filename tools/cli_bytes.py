@@ -8,7 +8,9 @@ keeps every output's bytes, so a diff of two outputs names each command whose
 bytes moved.  Each command runs in its own process with its own hash seed.
 
 Inputs: a problem file for every rhs at an order below 1 and one between 1
-and 2, with rho cycling through 0.5, 1 and 2, and CSVs on 257 nodes:
+and 2, with rho cycling through 0.5, 1 and 2, two at the ends of the
+solver's range (y0 1e307, and alpha 149.5 with an overflowing Taylor
+polynomial), and CSVs on 257 nodes:
 sin(3x), seeded standard-normal noise, that noise times 1e-290, seeded signs
 times 1e300, and noise spread over e^-20..e^20.  The operator cases include
 ones of order 7, whose weights take more slices than the others.  Uses only the
@@ -62,6 +64,18 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     (work / "missing.prob").write_text(problem_text("linear", 0.6, 1.0).replace(
         "problem.K = 1.0\n", ""), encoding="utf-8")
     commands.append(("solve missing.prob", ["solve", "missing.prob", "-o", "out.csv"]))
+    # the ends of the solver's range: y near 1e307, whose FFT sum overflows
+    # and takes the exact sum instead, and a Taylor polynomial that overflows
+    (work / "huge.prob").write_text(problem_text("linear", 0.6, 1.0).replace(
+        "problem.y0 = [0.5]", "problem.y0 = [1e307]").replace(
+        "problem.rhs.lambda = -1.0", "problem.rhs.lambda = 1.0").replace(
+        "problem.K = 1.0", "problem.K = 1e307"), encoding="utf-8")
+    (work / "taylor.prob").write_text(problem_text("zero", 0.6, 1.0).replace(
+        "problem.alpha = 0.6", "problem.alpha = 149.5").replace(
+        "problem.y0 = [0.5]", "problem.y0 = [" + ", ".join(["1.0"] * 150) + "]").replace(
+        "problem.h_star = 1.0", "problem.h_star = 1e6"), encoding="utf-8")
+    for name in ("huge.prob", "taylor.prob"):
+        commands.append((f"solve {name}", ["solve", name, "-o", "out.csv"]))
 
     x = np.linspace(0.0, 1.0, NODES)
     data = {"sin.csv": (np.sin(3.0 * x), "0,3"),
