@@ -471,18 +471,26 @@ class QuadratureWeights:
 
 
 def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
-    """Product-trapezoidal weights for the Abel kernel of order ``alpha``."""
+    """Product-trapezoidal weights for the Abel kernel of order ``alpha``.
+
+    A weight past the double range comes back non-finite, quietly, as an
+    overflowing sum of ``apply_exact`` does.  Every library caller refuses
+    what follows from it: ``gfi_apply`` and the solvers raise
+    ``OverflowError``, and ``volterra_residual`` returns a non-finite value.
+    """
     _check_finite("alpha", alpha)
     n = grid.n_nodes
     ds = grid.ds
     gam = _gamma(alpha, 1.0)     # refuses too large an alpha before the series
     p, q = _ramp_moments(alpha, n - 1)
-    # moments carry the extra alpha, so the prefactor divides by Gamma(alpha+1)
-    pref = np.power(np.longdouble(ds), np.longdouble(alpha)) / np.longdouble(gam)
-    # each weight rounds once to double; band[d] is cell distance d, and
-    # p[0] is exactly 0
-    first = (pref * p).astype(float)
-    band = (pref * (p[:-1] + q[1:])).astype(float)
+    with np.errstate(all="ignore"):     # an overflowing weight is left non-finite
+        # moments carry the extra alpha, so the prefactor divides by
+        # Gamma(alpha+1)
+        pref = np.power(np.longdouble(ds), np.longdouble(alpha)) / np.longdouble(gam)
+        # each weight rounds once to double; band[d] is cell distance d, and
+        # p[0] is exactly 0
+        first = (pref * p).astype(float)
+        band = (pref * (p[:-1] + q[1:])).astype(float)
     first.setflags(write=False)
     band.setflags(write=False)
     return QuadratureWeights(alpha=float(alpha), grid=grid, first=first, band=band)

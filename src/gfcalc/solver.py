@@ -276,16 +276,18 @@ def estimate_M(problem: IVProblem) -> float:
     """max |f| over the 64 x 64 lattice of the box G = [0, h_star] x
     {|y - T(x)| <= K}, even in x and in y - T.  A lattice maximum is a lower
     estimate of the true sup, so a step computed from it can be longer than
-    the theorem allows; a bound from each rhs is ROADMAP item 4.
+    the theorem allows; a bound from each rhs is ROADMAP item 4.  A lattice
+    that overflows, in T or in the offsets y - T, is refused like a
+    non-finite f.
     """
-    xs = np.linspace(0.0, problem.h_star, _M_LATTICE)
-    offsets = np.linspace(-problem.K, problem.K, _M_LATTICE)
-    t = taylor_poly(problem.y0, xs)
     with np.errstate(all="ignore"):     # a non-finite value is refused below
+        xs = np.linspace(0.0, problem.h_star, _M_LATTICE)
+        offsets = np.linspace(-problem.K, problem.K, _M_LATTICE)
+        t = taylor_poly(problem.y0, xs)
         vals = problem.rhs.fn(xs[:, None], t[:, None] + offsets, problem)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("rhs is not finite on the existence box")
-    return float(np.max(np.abs(vals)))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("rhs is not finite on the existence box")
+        return float(np.max(np.abs(vals)))
 
 
 def step_h(problem: IVProblem, M: float) -> float:
@@ -325,9 +327,7 @@ def _check_in_box(values: np.ndarray, t: np.ndarray, K: float, what: str) -> Non
 
 
 def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """f(x, y), refused unless finite.  Callers silence numpy's float
-    warnings around it: the marching solver calls it once per scalar, too
-    often to enter ``np.errstate`` each time."""
+    """f(x, y), refused with ValueError unless finite."""
     vals = np.asarray(problem.rhs.fn(x, y, problem), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("rhs evaluation produced non-finite values")
@@ -336,7 +336,8 @@ def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _ivp_taylor(grid: Grid, problem: IVProblem,
                 weights: QuadratureWeights | None = None) -> np.ndarray:
-    """T at the nodes, after checking that grid and weights suit the problem."""
+    """T at the nodes, after checking that grid and weights suit the problem;
+    a T that overflows raises ``OverflowError``."""
     if weights is not None and not weights.grid.same_layout(grid):
         raise ValueError("weights were built for a different grid")
     if weights is not None and weights.alpha != problem.alpha:
@@ -344,26 +345,30 @@ def _ivp_taylor(grid: Grid, problem: IVProblem,
                          f"requested alpha={problem.alpha}")
     if grid.a != 0.0:
         raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
-    return taylor_poly(problem.y0, grid.x_nodes)
+    t = taylor_poly(problem.y0, grid.x_nodes)
+    if not np.all(np.isfinite(t)):
+        raise OverflowError("Taylor polynomial T is not finite")
+    return t
 
 
 def picard_apply(y: SampledFunction, problem: IVProblem,
                  weights: QuadratureWeights) -> SampledFunction:
     """One application of the integral operator: T + I^alpha f(., y), with
-    the history sum from ``QuadratureWeights.apply_exact``.  A result that
-    overflows raises ``OverflowError``."""
-    t = _ivp_taylor(y.grid, problem, weights)
-    _check_in_box(y.values, t, problem.K, "iterate")
-    with np.errstate(all="ignore"):
+    the history sum from ``QuadratureWeights.apply_exact``.  A T or a result
+    that overflows raises ``OverflowError``."""
+    with np.errstate(all="ignore"):     # an overflow is refused below
+        t = _ivp_taylor(y.grid, problem, weights)
+        _check_in_box(y.values, t, problem.K, "iterate")
         vals = t + weights.apply_exact(_eval_rhs(problem, y.grid.x_nodes, y.values))
-    return _finite_result(y, vals, "Picard iterate")
+        return _finite_result(y, vals, "Picard iterate")
 
 
 def _solver_setup(problem: IVProblem, config: SolverConfig):
     M, h = existence_box(problem)
     grid = make_grid(0.0, h, problem.rho, config.n_nodes)
     weights = build_weights(grid, problem.alpha)
-    return M, h, grid, weights, _ivp_taylor(grid, problem)
+    # T unchecked: each solver refuses an overflowing T inside its own loop
+    return M, h, grid, weights, taylor_poly(problem.y0, grid.x_nodes)
 
 
 def solve_picard(problem: IVProblem, config: SolverConfig):
@@ -464,27 +469,33 @@ def _march_node(b: float, w_nn: float, f_scalar, u0: float, tol: float,
 
 
 def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
-    """Independent node-by-node solve of the same discrete Volterra system."""
-    _, _, grid, weights, t = _solver_setup(problem, config)
-    n = grid.n_nodes
-    x = grid.x_nodes
-    y = np.empty(n)
-    fv = np.empty(n)
-    y[0] = t[0]
-    with np.errstate(all="ignore"):
-        fv[0] = float(_eval_rhs(problem, x[:1], y[:1])[0])
-        for i in range(1, n):
+    """Independent node-by-node solve of the same discrete Volterra system.
+
+    Node i solves y_i = b_i + w_ii f(x_i, y_i), with b_i = T(x_i) plus the
+    history sum over nodes 0..i-1, starting from y_{i-1}; node 0, whose
+    weight w_00 is 0, starts from T(0) and returns it.  The whole solve runs
+    under one ``np.errstate``: a b_i that is not finite, as when T or the
+    history sum overflows, raises ``OverflowError``, and a node solve that
+    does not converge raises ``MarchingError``.
+    """
+    with np.errstate(all="ignore"):     # an overflow is refused below
+        _, _, grid, weights, t = _solver_setup(problem, config)
+        n = grid.n_nodes
+        y = np.full(n, t[0])            # y[-1] = T(0) is node 0's starting guess
+        fv = np.empty(n)
+        for i in range(n):
             row = weights.row(i)
             b = t[i] + float(np.dot(row[:i], fv[:i]))
-            xi = x[i]
+            if not math.isfinite(b):
+                raise OverflowError(f"marching node {i} is not finite")
 
-            def f_scalar(u: float, _xi=xi) -> float:
+            def f_scalar(u: float, _xi=grid.x_nodes[i]) -> float:
                 return float(_eval_rhs(problem, np.array([_xi]), np.array([u]))[0])
 
             tol_i = max(1e-15, 1e-4 * config.tol) * max(1.0, abs(b))
             y[i] = _march_node(b, float(row[i]), f_scalar, y[i - 1], tol_i, i)
             fv[i] = f_scalar(y[i])
-    _check_in_box(y, t, problem.K, "marching solution")
+        _check_in_box(y, t, problem.K, "marching solution")
     return SampledFunction(grid, y)
 
 
@@ -537,12 +548,13 @@ def volterra_residual(y: SampledFunction, problem: IVProblem,
     """sup_n | y_n - T(x_n) - (I^alpha f(., y))_n |, the defect of y in the
     discrete Volterra equation, with the history sum from
     ``QuadratureWeights.apply_exact``.  Pure measurement; never raises on
-    box exit.
+    box exit.  A history sum that overflows gives inf, quietly; a T that
+    overflows raises ``OverflowError``.
     """
-    if weights is None:
-        weights = build_weights(y.grid, problem.alpha)
-    t = _ivp_taylor(y.grid, problem, weights)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):     # an overflowing sum gives inf
+        if weights is None:
+            weights = build_weights(y.grid, problem.alpha)
+        t = _ivp_taylor(y.grid, problem, weights)
         fvals = _eval_rhs(problem, y.grid.x_nodes, y.values)
         return float(np.max(np.abs(y.values - t - weights.apply_exact(fvals))))
 
@@ -569,32 +581,33 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     The integral comes from :func:`gfi_reference`, independent of the
     solver's weights, at its default tol and depth; each mesh level is one
     finiteness-checked rhs call, and a node probed twice is integrated once.
-    Raises RefinementError when a probe does not converge.
+    Raises RefinementError when a probe does not converge, and
+    ``OverflowError`` when T is not finite.
 
     The probe is node-only: for an rhs linear in y, f(., y) of the
     interpolant is piecewise linear in s, which the solver's weights
     integrate exactly, so it sees only the Picard stopping error and not
     the discretisation error.
     """
-    grid = y.grid
-    t = _ivp_taylor(grid, problem)
-    # interpolate y / 2**e, with max |y / 2**e| in [1/2, 1), so that no
-    # slope between nodes overflows; a power-of-two scale is exact in the
-    # normal range
-    e = int(np.frexp(np.max(np.abs(y.values)))[1])
-    scaled = np.ldexp(y.values, -e)
+    with np.errstate(all="ignore"):     # a non-finite value is refused below
+        grid = y.grid
+        t = _ivp_taylor(grid, problem)
+        # interpolate y / 2**e, with max |y / 2**e| in [1/2, 1), so that no
+        # slope between nodes overflows; a power-of-two scale is exact in the
+        # normal range
+        e = int(np.frexp(np.max(np.abs(y.values)))[1])
+        scaled = np.ldexp(y.values, -e)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
+        def integrand(x: np.ndarray) -> np.ndarray:
             return _eval_rhs(problem, x,
                              np.ldexp(np.interp(grid.s_of(x), grid.s_nodes, scaled), e))
 
-    n = grid.n_nodes
-    probes = dict.fromkeys(min(n - 1, max(1, round(frac * (n - 1))))
-                           for frac in _ORACLE_PROBES)
-    worst = 0.0
-    for i in probes:
-        ref = gfi_reference(integrand, float(grid.x_nodes[i]), problem.alpha,
-                            grid.rho, grid.a)
-        worst = max(worst, abs(float(y.values[i]) - float(t[i]) - ref))
-    return worst
+        n = grid.n_nodes
+        probes = dict.fromkeys(min(n - 1, max(1, round(frac * (n - 1))))
+                               for frac in _ORACLE_PROBES)
+        worst = 0.0
+        for i in probes:
+            ref = gfi_reference(integrand, float(grid.x_nodes[i]), problem.alpha,
+                                grid.rho, grid.a)
+            worst = max(worst, abs(float(y.values[i]) - float(t[i]) - ref))
+        return worst

@@ -19,6 +19,7 @@ __all__ = [
 _ML_MAX_TERMS = 512
 _ML_LOG_TERM_CAP = 700.0   # exp() overflow guard; bounds the usable |z| range
 _GAMMA_MAX_ARG = 171.0     # math.gamma overflows just past 171.62
+_ML_TARGET = 1e-8          # relative accuracy a returned E_alpha(z) is held to
 
 _ORACLE_MAX_RM = 6
 _ORACLE_MAX_N = 12
@@ -75,6 +76,13 @@ def mittag_leffler(alpha: float, z: float) -> float:
     alternating tail is bounded by the first omitted term.  Arguments whose
     terms overflow double precision, or fail to start decreasing within the
     term cap, are rejected.
+
+    Each term carries its own rounding, up to about 2**-53 of the largest
+    term, which no compensation of the sum removes.  So a sum of k terms
+    after the leading 1 is returned only when max|term| * 2**-53 * k <=
+    1e-8 |sum| (``_ML_TARGET``); otherwise the cancellation is refused with
+    ``ConvergenceError``.  This bites for negative z only, e.g. at
+    E_0.5(-5) and E_1(-20), while E_1.5(-20) and E_0.9(-7.6) pass.
     """
     _check_finite("alpha", alpha)
     if not math.isfinite(z):
@@ -87,6 +95,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
     comp = 0.0
     zpow = 1.0
     prev_mag = 1.0
+    peak = 1.0
     for j in range(1, _ML_MAX_TERMS + 1):
         zpow *= z
         g_arg = alpha * j + 1.0
@@ -104,10 +113,17 @@ def mittag_leffler(alpha: float, z: float) -> float:
             term = -mag if (negative and j % 2) else mag
         decreasing = mag < prev_mag
         if decreasing and mag <= (1e-16 if negative else 1e-16 * (acc + comp)):
-            return acc + comp
+            total = acc + comp
+            if peak * 2.0**-53 * (j - 1) > _ML_TARGET * abs(total):
+                raise ConvergenceError(
+                    f"series loses the relative accuracy {_ML_TARGET:g} to cancellation "
+                    f"for alpha={alpha}, z={z}: terms up to {peak:.3g}, sum {total:.3g}"
+                )
+            return total
         acc, err = _two_sum(acc, term)
         comp += err
         prev_mag = mag
+        peak = max(peak, mag)
     raise ConvergenceError(
         f"series did not converge within {_ML_MAX_TERMS} terms "
         f"for alpha={alpha}, z={z}"

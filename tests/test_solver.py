@@ -141,6 +141,50 @@ def test_overflowing_history_sum_is_refused_quietly():
             picard_apply(y, p, weights)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda p, y, w: solve_marching(p, SolverConfig(n_nodes=129)),
+     "^marching node 1 is not finite$"),
+    (lambda p, y, w: picard_apply(y, p, w), "^Taylor polynomial T is not finite$"),
+    (lambda p, y, w: volterra_residual(y, p, w), "^Taylor polynomial T is not finite$"),
+    (lambda p, y, w: volterra_residual(y, p), "^Taylor polynomial T is not finite$"),
+    (lambda p, y, w: oracle_residual(y, p), "^Taylor polynomial T is not finite$"),
+], ids=["solve_marching", "picard_apply", "volterra_residual",
+        "volterra_residual_builds_weights", "oracle_residual"])
+def test_overflowing_taylor_polynomial_is_refused_quietly(call, message):
+    # T(x) = sum_k x**k / k! over 150 terms overflows from the first node
+    # past 0 on [0, 1e6], and so do the order-149.5 weights there: every
+    # solver call refuses T with one OverflowError and lets numpy warn of
+    # neither
+    p = problem(alpha=149.5, y0=(1.0,) * 150, name="zero", h_star=1e6)
+    grid = make_grid(0.0, 1e6, 1.0, 129)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = build_weights(grid, p.alpha)
+        assert not np.all(np.isfinite(weights.band))
+        with pytest.raises(OverflowError, match=message):
+            call(p, SampledFunction(grid, np.ones(129)), weights)
+
+
+def test_existence_box_refuses_an_overflowing_lattice_quietly():
+    # the offsets y - T span [-K, K], a width of 2K past the overflow
+    # threshold: the lattice is refused like a non-finite rhs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^rhs is not finite on the existence box$"):
+            existence_box(problem(K=1.7e308))
+
+
+def test_marching_refuses_an_overflowing_history_sum(monkeypatch):
+    # T = 1.7e308 is finite, but T plus the history w_10 f(y_0), with
+    # f = y, is not: node 1 is refused before its node solve
+    monkeypatch.setattr(solver, "estimate_M", lambda problem: 1.0)
+    p = problem(y0=(1.7e308,), params={"lambda": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^marching node 1 is not finite$"):
+            solve_marching(p, SolverConfig(n_nodes=33))
+
+
 def test_oracle_residual_interpolates_values_near_the_overflow_threshold(monkeypatch):
     # a solution near 1e307 has slopes between nodes past the overflow
     # threshold; its interpolant is finite, so the oracle's rhs values are

@@ -4,6 +4,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,35 @@ def test_ml_alternating_tail_bound():
     # against a longer mpmath-free reference: alpha=1 exact exponential
     got = mittag_leffler(1.0, -2.5)
     assert abs(got - math.exp(-2.5)) < 1e-15
+
+
+def ml_reference(alpha: float, z: float) -> float:
+    """E_alpha(z) from its series at 60 digits, summed until the terms fall
+    below 1e-70 on their way down."""
+    with mpmath.workdps(60):
+        al, zz = mpmath.mpf(alpha), mpmath.mpf(z)
+        total, prev, j = mpmath.mpf(0), mpmath.inf, 0
+        while True:
+            term = zz**j / mpmath.gamma(al * j + 1)
+            total += term
+            if abs(term) < min(prev, mpmath.mpf(10) ** -70):
+                return float(total)
+            prev, j = abs(term), j + 1
+
+
+@pytest.mark.parametrize("alpha,z,refused", [
+    (0.5, -5.0, True), (0.9, -20.0, True), (1.0, -20.0, True), (1.0, -30.0, True),
+    (0.9, -7.6, False), (1.5, -20.0, False)])
+def test_ml_is_accurate_or_refused_against_mpmath(alpha, z, refused):
+    # on the refused rows cancellation left the plain series 4e-5
+    # (E_0.5(-5)) to 4e7 (E_1(-30)) off the 60-digit reference, relative;
+    # the kept rows are within the 1e-8 target
+    if refused:
+        with pytest.raises(ConvergenceError, match="cancellation"):
+            mittag_leffler(alpha, z)
+    else:
+        want = ml_reference(alpha, z)
+        assert abs(mittag_leffler(alpha, z) - want) <= 1e-8 * abs(want)
 
 
 # ---------------------------------------------------------------------------
