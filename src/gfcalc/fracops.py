@@ -607,8 +607,11 @@ def _graded_abel_sum(g_vals: np.ndarray, u: np.ndarray, dsig: np.ndarray,
           * (-np.expm1((alpha + 1.0) * r)) / (alpha + 1.0))
     coeff_far = (d2 - a_dist * d1) / w       # multiplies g at the far edge
     coeff_near = (b_dist * d1 - d2) / w      # multiplies g at the near edge
-    total = float(np.dot(coeff_far, g_vals[:-2])
-                  + np.dot(coeff_near, g_vals[1:-1]))
+    # products in place, then numpy's pairwise sum: an order fixed by numpy,
+    # not by the BLAS build or thread count, and no further temporaries
+    coeff_far *= g_vals[:-2]
+    coeff_near *= g_vals[1:-1]
+    total = float(np.sum(coeff_far) + np.sum(coeff_near))
     # closing cell touches the singularity: closed form with a_dist = 0
     b_last = u[-2]
     total += b_last**alpha * (g_vals[-1] / (alpha * (alpha + 1.0))

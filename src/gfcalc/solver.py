@@ -161,7 +161,9 @@ class RightHandSide:
     """A registered f(x, y) with a Lipschitz constant and an optional
     reference solution.
 
-    ``fn(x, y, problem)`` is vectorized over x and y.  ``lipschitz(problem)``
+    ``fn(x, y, problem)`` is vectorized over x and y, and takes Python
+    floats as well, as the marching solver passes them, one node at a time;
+    then it returns a numpy scalar or a 0-d array.  ``lipschitz(problem)``
     returns a bound for |f(x, y1) - f(x, y2)| / |y1 - y2| on the existence
     box, except for ``logistic``, whose value is an estimate: it takes the
     range of T at the x points of :func:`estimate_M`'s lattice.
@@ -448,12 +450,19 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
 def _march_node(b: float, w_nn: float, f_scalar, u0: float, tol: float,
                 node: int) -> float:
     """Solve u = b + w_nn f(u): one plain fixed-point step, then the secant
-    method on the residual, with a plain step whenever the residual repeats."""
+    method on the residual, with a plain step whenever the residual repeats.
+
+    A step b + w_nn f(u) that is not finite, as when b is not finite or
+    the step overflows, raises ``OverflowError`` naming the node; a node
+    solve that does not converge raises ``MarchingError``.
+    """
     u = u0
     res_prev = None
     u_prev = None
     for _ in range(_MARCH_ITER_CAP):
         phi = b + w_nn * f_scalar(u)
+        if not math.isfinite(phi):
+            raise OverflowError(f"marching node {node} is not finite")
         res = phi - u
         if abs(res) <= tol:
             return phi
@@ -473,10 +482,17 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
 
     Node i solves y_i = b_i + w_ii f(x_i, y_i), with b_i = T(x_i) plus the
     history sum over nodes 0..i-1, starting from y_{i-1}; node 0, whose
-    weight w_00 is 0, starts from T(0) and returns it.  The whole solve runs
-    under one ``np.errstate``: a b_i that is not finite, as when T or the
-    history sum overflows, raises ``OverflowError``, and a node solve that
-    does not converge raises ``MarchingError``.
+    weight w_00 is 0, starts from T(0) and returns it.  The history sum is
+    numpy's pairwise ``np.sum`` of the elementwise products, an order that
+    no BLAS build or thread count changes.  Each node calls ``rhs.fn`` on
+    Python floats and refuses a value that is not finite with the
+    ``ValueError`` of the vectorized solvers.
+
+    The whole solve runs under one ``np.errstate``.  A node step
+    b_i + w_ii f(u) that is not finite, as when T or the history sum
+    overflows or the step itself does, raises ``OverflowError``
+    (``marching node i is not finite``), and a node solve that does not
+    converge raises ``MarchingError``.
     """
     with np.errstate(all="ignore"):     # an overflow is refused below
         _, _, grid, weights, t = _solver_setup(problem, config)
@@ -485,12 +501,13 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
         fv = np.empty(n)
         for i in range(n):
             row = weights.row(i)
-            b = t[i] + float(np.dot(row[:i], fv[:i]))
-            if not math.isfinite(b):
-                raise OverflowError(f"marching node {i} is not finite")
+            b = t[i] + float(np.sum(row[:i] * fv[:i]))
 
-            def f_scalar(u: float, _xi=grid.x_nodes[i]) -> float:
-                return float(_eval_rhs(problem, np.array([_xi]), np.array([u]))[0])
+            def f_scalar(u: float, _xi=float(grid.x_nodes[i])) -> float:
+                val = float(problem.rhs.fn(_xi, u, problem))
+                if not math.isfinite(val):
+                    raise ValueError("rhs evaluation produced non-finite values")
+                return val
 
             tol_i = max(1e-15, 1e-4 * config.tol) * max(1.0, abs(b))
             y[i] = _march_node(b, float(row[i]), f_scalar, y[i - 1], tol_i, i)

@@ -2,9 +2,15 @@
 marching solvers, contraction and modulus-of-continuity bounds, residuals."""
 
 import functools
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,13 +182,59 @@ def test_existence_box_refuses_an_overflowing_lattice_quietly():
 
 def test_marching_refuses_an_overflowing_history_sum(monkeypatch):
     # T = 1.7e308 is finite, but T plus the history w_10 f(y_0), with
-    # f = y, is not: node 1 is refused before its node solve
+    # f = y, is not: node 1 is refused at the first step of its node solve
     monkeypatch.setattr(solver, "estimate_M", lambda problem: 1.0)
     p = problem(y0=(1.7e308,), params={"lambda": 1.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="^marching node 1 is not finite$"):
             solve_marching(p, SolverConfig(n_nodes=33))
+
+
+def test_marching_refuses_an_overflowing_node_step():
+    # the history sum stays finite, but at rho 0.05, a step the box does not
+    # bound (ROADMAP item 4), the step b + w_ii f of the c 1e307 forcing
+    # overflows at node 19: an overflow, as solve_picard says, not a
+    # non-finite rhs from f evaluated at the overflowed iterate
+    p = IVProblem(alpha=0.9, rho=0.05, y0=(0.0,),
+                  rhs=make_rhs("power_forcing", {"beta": 1.5, "c": 1e307}),
+                  h_star=1.0, K=1e305)
+    config = SolverConfig(n_nodes=33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^marching node 19 is not finite$"):
+            solve_marching(p, config)
+        with pytest.raises(OverflowError, match="^Picard iterate 1 is not finite$"):
+            solve_picard(p, config)
+
+
+def _blas_sensitive_outputs():
+    # marching at n 12289 and the oracle on a Picard solution: history sums
+    # long enough for a BLAS dot to split them over threads, and the oracle's
+    # graded-mesh sums
+    linear = functools.partial(problem, y0=(0.5,))
+    marching = solve_marching(linear(alpha=0.5), SolverConfig(n_nodes=12289, tol=1e-12))
+    p = linear(alpha=0.4, rho=0.5)
+    y, _ = solve_picard(p, SolverConfig(n_nodes=33, tol=1e-12))
+    return (f"{hashlib.sha256(marching.values.tobytes()).hexdigest()} "
+            f"{oracle_residual(y, p).hex()}")
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # a BLAS dot may sum in an order set by its thread count; the library
+    # sums in orders of its own, so a process with single-threaded BLAS
+    # computes the same bytes as this one
+    code = textwrap.dedent("""\
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from test_solver import _blas_sensitive_outputs
+        print(_blas_sensitive_outputs())
+        """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                          capture_output=True, text=True, env=env)
+    assert done.stdout == f"{_blas_sensitive_outputs()}\n", done.stderr
 
 
 def test_oracle_residual_interpolates_values_near_the_overflow_threshold(monkeypatch):
