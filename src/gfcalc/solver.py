@@ -30,7 +30,9 @@ from .fracops import (
     Grid,
     QuadratureWeights,
     SampledFunction,
+    _REFERENCE_TOL,
     _finite_result,
+    _gamma,
     _s_from_x,
     build_weights,
     gfi_reference,
@@ -305,7 +307,7 @@ def step_h(problem: IVProblem, M: float) -> float:
     if M == 0.0:
         return problem.h_star
     alpha, rho = problem.alpha, problem.rho
-    cap = (problem.K * math.gamma(alpha + 1.0) * rho**alpha / M) ** (1.0 / alpha)
+    cap = (problem.K * _gamma(alpha, 1.0) * rho**alpha / M) ** (1.0 / alpha)
     return min(problem.h_star, cap)
 
 
@@ -553,7 +555,7 @@ def holder_bound(x1: float, x2: float, M: float, alpha: float, rho: float) -> fl
     _check_finite("M", M, strict=False)
     _check_finite("alpha", alpha)
     _check_finite("rho", rho)
-    scale = M / (rho**alpha * math.gamma(alpha + 1.0))
+    scale = M / (rho**alpha * _gamma(alpha, 1.0))
     gap = x2**rho - x1**rho
     if alpha <= 1.0:
         return 2.0 * scale * gap**alpha
@@ -596,8 +598,10 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
     Volterra equation, with y read as its piecewise-linear interpolant in s.
 
     The integral comes from :func:`gfi_reference`, independent of the
-    solver's weights, at its default tol and depth; each mesh level is one
-    finiteness-checked rhs call, and a node probed twice is integrated once.
+    solver's weights, at its default depth and its default tol times
+    max(1, max |y|), so a large solution is probed to the same relative
+    accuracy as one of size 1; each mesh level is one finiteness-checked rhs
+    call, and a node probed twice is integrated once.
     Raises RefinementError when a probe does not converge, and
     ``OverflowError`` when T is not finite.
 
@@ -612,8 +616,10 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
         # interpolate y / 2**e, with max |y / 2**e| in [1/2, 1), so that no
         # slope between nodes overflows; a power-of-two scale is exact in the
         # normal range
-        e = int(np.frexp(np.max(np.abs(y.values)))[1])
+        y_max = float(np.max(np.abs(y.values)))
+        e = int(np.frexp(y_max)[1])
         scaled = np.ldexp(y.values, -e)
+        tol = _REFERENCE_TOL * max(1.0, y_max)
 
         def integrand(x: np.ndarray) -> np.ndarray:
             return _eval_rhs(problem, x,
@@ -625,6 +631,6 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
         worst = 0.0
         for i in probes:
             ref = gfi_reference(integrand, float(grid.x_nodes[i]), problem.alpha,
-                                grid.rho, grid.a)
+                                grid.rho, grid.a, tol)
             worst = max(worst, abs(float(y.values[i]) - float(t[i]) - ref))
         return worst

@@ -424,9 +424,9 @@ def _solve_argv(tmp_path, text):
 
 @pytest.mark.parametrize("make_argv", [
     lambda tmp: _solve_argv(tmp, LIN_PROB
-                            .replace("problem.alpha = 0.5", "problem.alpha = 199.5")
-                            .replace("problem.y0 = [1.0]",
-                                     "problem.y0 = [" + ", ".join(["1.0"] * 200) + "]")),
+                            .replace("problem.alpha = 0.5", "problem.alpha = 2.0")
+                            .replace("problem.rho = 1.0", "problem.rho = 1e200")
+                            .replace("problem.y0 = [1.0]", "problem.y0 = [1.0, 0.0]")),
     lambda tmp: _solve_argv(tmp, LIN_PROB
                             .replace("solver.n_nodes = 129", "solver.n_nodes = 33")
                             .replace("solver.lipschitz_L = 1.0", "solver.lipschitz_L = 1e40")),
@@ -443,7 +443,7 @@ def _solve_argv(tmp_path, text):
     lambda tmp: ["operator", "caputo",
                  write_xy(tmp / "low.csv", np.linspace(0.0, 1.0, 17), np.full(17, -1.7e308)),
                  "--alpha", "0.5", "--rho", "1", "--a", "0", "--init", "1e308"],
-], ids=["gamma_in_step_h", "exp_in_contraction_bound", "a_pow_rho_in_s",
+], ids=["pow_in_step_h", "exp_in_contraction_bound", "a_pow_rho_in_s",
         "deriv_stencil", "integral_sum", "caputo_taylor_shift"])
 def test_overflow_is_computation_failure(tmp_path, capsys, make_argv):
     # each case overflows a float operation deep inside the numerics
@@ -455,6 +455,20 @@ def test_overflow_is_computation_failure(tmp_path, capsys, make_argv):
     # the refusal names the command and its main input
     assert err.startswith(f"error: overflow in {argv[0]} ")
     assert argv[1] in err
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_gamma_overflow_is_too_large_an_order(tmp_path, capsys, command):
+    # Gamma(172) overflows in the existence step: an input error (exit 1),
+    # as from `operator integral --alpha 171`, not a computation failure
+    prob = write(tmp_path / "p.prob", LIN_PROB
+                 .replace("problem.alpha = 0.5", "problem.alpha = 171.0")
+                 .replace("problem.y0 = [1.0]",
+                          "problem.y0 = [" + ", ".join(["1.0"] * 171) + "]"))
+    options = {"solve": ["-o", str(tmp_path / "o.csv")], "study": ["--resolutions", "33,65"]}
+    code, out, err = run(capsys, [command, prob, *options[command]])
+    assert (code, out) == (1, "")
+    assert err == "error: alpha = 171.0 too large: gamma overflow\n"
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,17 @@ def test_oracle_residual_interpolates_values_near_the_overflow_threshold(monkeyp
         oracle_residual(solution, p)
 
 
+def test_oracle_residual_scales_its_tol_with_the_solution():
+    # the reference integral's tol is 1e-10 max(1, max|y|), so a solution
+    # near 1e307 is probed to the accuracy of one near 1
+    p = problem(y0=(1e307,), params={"lambda": 1.0}, K=1e307)
+    solution, report = solve_picard(p, SolverConfig(n_nodes=257, tol=1e-12))
+    assert report.converged
+    resid = oracle_residual(solution, p)
+    assert math.isfinite(resid)
+    assert resid <= 1e-10 * float(np.max(np.abs(solution.values)))
+
+
 def test_step_h_zero_m_returns_h_star():
     p = problem(alpha=0.7, h_star=5.0)
     assert step_h(p, 0.0) == 5.0
@@ -280,6 +291,20 @@ def test_step_h_validation():
 def test_existence_box_fields():
     p = problem()
     assert existence_box(p) == (2.0, step_h(p, 2.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: step_h(p, 1.0),
+    lambda p: holder_bound(0.0, 1.0, 1.0, p.alpha, p.rho),
+    lambda p: solve_picard(p, SolverConfig(n_nodes=33)),
+    lambda p: solve_marching(p, SolverConfig(n_nodes=33)),
+], ids=["step_h", "holder_bound", "solve_picard", "solve_marching"])
+def test_gamma_overflow_is_too_large_an_order(call):
+    # Gamma(172) overflows; every function that needs it refuses the order
+    # the way build_weights and gfi_reference do
+    p = problem(alpha=171.0, y0=(1.0,) * 171)
+    with pytest.raises(ValueError, match=r"^alpha = 171\.0 too large: gamma overflow$"):
+        call(p)
 
 
 # ---------------------------------------------------------------------------
@@ -853,8 +878,10 @@ def test_contraction_respected(deltas, omega_bounds, want):
 
 def _per_point_oracle(y, p):
     # the oracle as one gfi_reference call per probe node, with a scalar
-    # integrand mapping each point x -> s -> interpolated y -> f(x, y)
+    # integrand mapping each point x -> s -> interpolated y -> f(x, y), at
+    # tol 1e-10 max(1, max|y|)
     grid = y.grid
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(y.values))))
 
     def integrand(x):
         y_x = float(np.interp(float(grid.s_of(x)), grid.s_nodes, y.values))
@@ -866,7 +893,7 @@ def _per_point_oracle(y, p):
         i = min(n - 1, max(1, round(frac * (n - 1))))
         x_i = float(grid.x_nodes[i])
         ref = gfi_reference(lambda xs: [integrand(v) for v in xs.tolist()],
-                            x_i, p.alpha, grid.rho, grid.a, tol=1e-10)
+                            x_i, p.alpha, grid.rho, grid.a, tol=tol)
         t_i = float(taylor_poly(p.y0, np.array([x_i]))[0])
         worst = max(worst, abs(float(y.values[i]) - t_i - ref))
     return worst
