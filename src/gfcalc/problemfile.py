@@ -11,7 +11,7 @@ lines ignored.  Numbers are floats, ``y0`` is a bracketed list.  Example::
     problem.h_star = 1.0
     problem.K = 2.0
     solver.n_nodes = 257
-    solver.tol = 1e-10           # optional
+    solver.tol = 1e-10           # optional; each stop is at tol * max(1, max|y|)
     solver.max_iter = 200        # optional
     solver.lipschitz_L = 1.0     # optional
 

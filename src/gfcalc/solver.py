@@ -251,6 +251,21 @@ class IVProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Grid size, stopping tolerance, iteration cap and optional Lipschitz
+    constant of a solve.
+
+    One tolerance rule holds for every stop in the library: a stop compares
+    its measure with tol * max(1, max |y|), where y is the solution as far
+    as it is known when the test is made.  A solution of size at most 1 is
+    thus held to the absolute tol, and a larger one to tol relative to its
+    size, so a solve near 1e7, where one ulp of y exceeds the default tol,
+    stops as one near 1 does.  Where max |y| >= 1, scaling y0 and K by a
+    power of two scales the solution exactly.  :func:`solve_picard`
+    takes max |y| over the iterate its update starts from,
+    :func:`solve_marching` over the nodes already solved, and
+    :func:`oracle_residual` over the solution it probes.
+    """
+
     n_nodes: int
     tol: float = 1e-10
     max_iter: int = 200
@@ -288,9 +303,8 @@ def estimate_M(problem: IVProblem) -> float:
         xs = np.linspace(0.0, problem.h_star, _M_LATTICE)
         offsets = np.linspace(-problem.K, problem.K, _M_LATTICE)
         t = taylor_poly(problem.y0, xs)
-        vals = problem.rhs.fn(xs[:, None], t[:, None] + offsets, problem)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("rhs is not finite on the existence box")
+        vals = _eval_rhs(problem, xs[:, None], t[:, None] + offsets,
+                         "rhs is not finite on the existence box")
         return float(np.max(np.abs(vals)))
 
 
@@ -330,11 +344,12 @@ def _check_in_box(values: np.ndarray, t: np.ndarray, K: float, what: str) -> Non
         )
 
 
-def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """f(x, y), refused with ValueError unless finite."""
+def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray,
+              message: str = "rhs evaluation produced non-finite values") -> np.ndarray:
+    """f(x, y), refused with ValueError(message) unless finite."""
     vals = np.asarray(problem.rhs.fn(x, y, problem), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("rhs evaluation produced non-finite values")
+        raise ValueError(message)
     return vals
 
 
@@ -377,9 +392,12 @@ def _solver_setup(problem: IVProblem, config: SolverConfig):
 
 def solve_picard(problem: IVProblem, config: SolverConfig):
     """Iterate y <- T + I^alpha f(., y) from y = T until the sup-norm update
-    falls below tol.  Returns (solution, report); raises NonConvergenceError
-    carrying both if max_iter is exhausted, and OverflowError if an iterate
-    of the exact sum is not finite.  Setup, iteration and residual run
+    is within tol * max(1, max |y|), with max |y| over the iterate the
+    update starts from (the rule of :class:`SolverConfig`); below, "tol"
+    means this scaled value.  Returns (solution, report); raises
+    NonConvergenceError carrying both, with the last scaled tol in its
+    message, if max_iter is exhausted, and OverflowError if an iterate of
+    the exact sum is not finite.  Setup, iteration and residual run
     under one ``np.errstate``, so an overflow raises no numpy warning.
 
     Each iterate takes its history sum from the O(n log n) FFT convolution
@@ -412,10 +430,11 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
         for k in range(config.max_iter):
             # every iteration so far took the FFT path, and this is not the last
             fft = fft_iterations == k and k + 1 < config.max_iter
+            tol = config.tol * max(1.0, float(np.max(np.abs(y))))
             fvals = _eval_rhs(problem, grid.x_nodes, y)
             y_next = t + (weights.apply_fft if fft else weights.apply_exact)(fvals)
             delta = float(np.max(np.abs(y_next - y)))
-            if fft and config.tol < delta < (deltas[-1] if deltas else math.inf):
+            if fft and tol < delta < (deltas[-1] if deltas else math.inf):
                 fft_iterations += 1
             elif fft:
                 y_next = t + weights.apply_exact(fvals)
@@ -425,7 +444,7 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
             _check_in_box(y_next, t, problem.K, "Picard iterate")
             deltas.append(delta)
             y = y_next
-            if delta <= config.tol:
+            if delta <= tol:
                 converged = True
                 break
         solution = SampledFunction(grid, y)
@@ -444,7 +463,7 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     if not converged:
         raise NonConvergenceError(
             f"no convergence within max_iter = {config.max_iter} "
-            f"(last update {deltas[-1]:.3e} > tol {config.tol:.3e})",
+            f"(last update {deltas[-1]:.3e} > tol {tol:.3e})",
             solution, report)
     return solution, report
 
@@ -471,7 +490,8 @@ def _march_node(b: float, w_nn: float, f_scalar, u0: float, tol: float,
         if res_prev is None or res == res_prev:
             u_new = phi
         else:
-            u_new = u - res * (u - u_prev) / (res - res_prev)
+            # the quotient first: res * (u - u_prev) overflows from |u| ~ 1e154
+            u_new = u - res * ((u - u_prev) / (res - res_prev))
         u_prev, res_prev = u, res
         u = u_new
     raise MarchingError(
@@ -488,7 +508,9 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
     numpy's pairwise ``np.sum`` of the elementwise products, an order that
     no BLAS build or thread count changes.  Each node calls ``rhs.fn`` on
     Python floats and refuses a value that is not finite with the
-    ``ValueError`` of the vectorized solvers.
+    ``ValueError`` of the vectorized solvers.  Node i's solve stops when
+    its residual is within max(1e-15, 1e-4 tol) * max(1, max |y|), with
+    max |y| over nodes 0..i-1 (the rule of :class:`SolverConfig`).
 
     The whole solve runs under one ``np.errstate``.  A node step
     b_i + w_ii f(u) that is not finite, as when T or the history sum
@@ -501,6 +523,7 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
         n = grid.n_nodes
         y = np.full(n, t[0])            # y[-1] = T(0) is node 0's starting guess
         fv = np.empty(n)
+        tol_i = max(1e-15, 1e-4 * config.tol)   # times max(1, max |y|) over nodes solved
         for i in range(n):
             row = weights.row(i)
             b = t[i] + float(np.sum(row[:i] * fv[:i]))
@@ -511,9 +534,9 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
                     raise ValueError("rhs evaluation produced non-finite values")
                 return val
 
-            tol_i = max(1e-15, 1e-4 * config.tol) * max(1.0, abs(b))
             y[i] = _march_node(b, float(row[i]), f_scalar, y[i - 1], tol_i, i)
             fv[i] = f_scalar(y[i])
+            tol_i = max(tol_i, max(1e-15, 1e-4 * config.tol) * abs(y[i]))
         _check_in_box(y, t, problem.K, "marching solution")
     return SampledFunction(grid, y)
 
@@ -599,9 +622,10 @@ def oracle_residual(y: SampledFunction, problem: IVProblem) -> float:
 
     The integral comes from :func:`gfi_reference`, independent of the
     solver's weights, at its default depth and its default tol times
-    max(1, max |y|), so a large solution is probed to the same relative
-    accuracy as one of size 1; each mesh level is one finiteness-checked rhs
-    call, and a node probed twice is integrated once.
+    max(1, max |y|), the rule of :class:`SolverConfig`, so a large solution
+    is probed to the same relative accuracy as one of size 1; each mesh
+    level is one finiteness-checked rhs call, and a node probed twice is
+    integrated once.
     Raises RefinementError when a probe does not converge, and
     ``OverflowError`` when T is not finite.
 

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfcalc import solver
 from gfcalc.fracops import (
@@ -800,6 +802,54 @@ def test_marching_weight_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_marching_secant_step_does_not_overflow_near_1e160():
+    # res * (u - u_prev) overflows long before either factor does
+    p = problem(y0=(1e160,), K=1e160)
+    cfg = SolverConfig(n_nodes=257)
+    solm = solve_marching(p, cfg)
+    solp, _ = solve_picard(p, cfg)
+    assert np.max(np.abs(solp.values - solm.values)) <= 10.0 * cfg.tol * 1e160
+
+
+# ---------------------------------------------------------------------------
+# one tolerance rule: every stop compares with tol * max(1, max |y|)
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(y0=st.floats(1.0, 2.0, exclude_max=True), K=st.floats(1.0, 2.0, exclude_max=True),
+       alpha=st.floats(0.2, 0.95), k=st.integers(0, 1000))
+def test_solutions_scale_exactly_with_a_power_of_two(y0, K, alpha, k):
+    scale = 2.0 ** k
+    base = problem(alpha=alpha, y0=(y0,), K=K)
+    scaled = problem(alpha=alpha, y0=(y0 * scale,), K=K * scale)
+    cfg = SolverConfig(n_nodes=129)
+    sol, rep = solve_picard(base, cfg)
+    sol_scaled, rep_scaled = solve_picard(scaled, cfg)
+    assert np.array_equal(sol_scaled.values, sol.values * scale)
+    assert rep_scaled.iterations == rep.iterations
+    assert np.array_equal(solve_marching(scaled, cfg).values,
+                          solve_marching(base, cfg).values * scale)
+
+
+@pytest.mark.parametrize("y0", [1e6, 1e7])
+def test_both_solvers_converge_on_a_large_solution(y0):
+    # an absolute tol of 1e-10 is below one ulp of y here
+    p = problem(y0=(y0,), K=y0)
+    cfg = SolverConfig(n_nodes=1025)
+    solp, rep = solve_picard(p, cfg)
+    solm = solve_marching(p, cfg)
+    assert rep.converged
+    assert np.max(np.abs(solp.values - solm.values)) <= 10.0 * cfg.tol * y0
+
+
+def test_picard_nonconvergence_names_the_effective_tol():
+    # every iterate has max |y| = y(0) = 4, so the stop compares with 4 tol
+    p = problem(y0=(4.0,), K=4.0)
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_picard(p, SolverConfig(n_nodes=65, tol=1e-14, max_iter=3))
+    assert str(exc.value).endswith(" > tol 4.000e-14)")
 
 
 # ---------------------------------------------------------------------------

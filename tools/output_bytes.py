@@ -14,7 +14,8 @@ CLI: ``python -m gfcalc`` solve, study, operator integral|deriv|caputo, ml
 and stirling on fixed inputs, each in its own process with its own hash
 seed, hashed over its exit code, stdout, stderr and output file.  The inputs
 are a problem file for every rhs at an order below 1 and one between 1 and
-2, with rho cycling through 0.5, 1 and 2, two at the ends of the solver's
+2, with rho cycling through 0.5, 1 and 2, one with y0 1e7, whose Picard
+stop needs the tol scaled with the solution, two at the ends of the solver's
 range (y0 1e307, and alpha 149.5 with an overflowing Taylor polynomial), and
 CSVs on 257 nodes: sin(3x), seeded standard-normal noise, that noise times
 1e-290, seeded signs times 1e300, and noise spread over e^-20..e^20.  The
@@ -93,6 +94,11 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     (work / "missing.prob").write_text(problem_text("linear", 0.6, 1.0).replace(
         "problem.K = 1.0\n", ""), encoding="utf-8")
     commands.append(("solve missing.prob", ["solve", "missing.prob", "-o", "out.csv"]))
+    # y near 1e7, where one ulp of y is above tol 1e-12, so Picard stops only
+    # on a tol scaled with max |y|; y0 1e6 would reach an exact fixed point
+    (work / "big.prob").write_text(problem_text("linear", 0.6, 1.0).replace(
+        "problem.y0 = [0.5]", "problem.y0 = [1e7]").replace(
+        "problem.K = 1.0", "problem.K = 1e7"), encoding="utf-8")
     # the ends of the solver's range: y near 1e307, whose FFT sum overflows
     # and takes the exact sum instead, and a Taylor polynomial that overflows
     (work / "huge.prob").write_text(problem_text("linear", 0.6, 1.0).replace(
@@ -103,7 +109,7 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
         "problem.alpha = 0.6", "problem.alpha = 149.5").replace(
         "problem.y0 = [0.5]", "problem.y0 = [" + ", ".join(["1.0"] * 150) + "]").replace(
         "problem.h_star = 1.0", "problem.h_star = 1e6"), encoding="utf-8")
-    for name in ("huge.prob", "taylor.prob"):
+    for name in ("big.prob", "huge.prob", "taylor.prob"):
         commands.append((f"solve {name}", ["solve", name, "-o", "out.csv"]))
 
     x = np.linspace(0.0, 1.0, CSV_NODES)
