@@ -1,14 +1,31 @@
 """Fractional integrals, derivatives, and initial value problems with a
 power-law kernel scale parameter rho (rho = 1 is classical Riemann-Liouville,
-rho -> 0 with a > 0 the logarithmic-kernel limit)."""
+rho -> 0 with a > 0 the logarithmic-kernel limit).
 
-from . import fracops, problemfile, solver, specialfn
-from .fracops import *
-from .problemfile import *
-from .solver import *
-from .specialfn import *
+Names load on first use (PEP 562), so ``import gfcalc`` imports neither
+numpy nor a submodule.  A ``specialfn`` name loads ``specialfn`` alone; any
+other name, any submodule and ``__all__`` load the numeric modules too.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [*dict.fromkeys(fracops.__all__ + specialfn.__all__ + solver.__all__
-                          + problemfile.__all__), "__version__"]
+
+def __getattr__(name):
+    # importlib, not ``from . import``, which would call back in here
+    specialfn = importlib.import_module(".specialfn", __name__)
+    if name in specialfn.__all__:
+        return getattr(specialfn, name)
+    modules = [importlib.import_module(f".{mod}", __name__)
+               for mod in ("fracops", "specialfn", "solver", "problemfile")]
+    public = {attr: getattr(mod, attr) for mod in modules for attr in mod.__all__}
+    globals().update(public, __all__=[*public, "__version__"])
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

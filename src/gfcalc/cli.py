@@ -13,6 +13,10 @@ Subcommands:
 Exit codes: 0 success, 1 input error, 2 computation failure.  All CSV numbers
 use 17 significant digits so outputs are reproducible bit for bit and parse
 back losslessly.
+
+Only ``specialfn``, which needs no numpy, is imported here: ``ml``,
+``stirling``, ``--help`` and usage errors never import numpy, and each
+other command imports the modules it uses when it runs.
 """
 
 from __future__ import annotations
@@ -22,26 +26,6 @@ import dataclasses
 import math
 import sys
 
-import numpy as np
-
-from .fracops import (
-    RefinementError,
-    SampledFunction,
-    gfd_caputo,
-    gfd_riemann,
-    gfi_apply,
-    make_grid,
-)
-from .problemfile import load_problem
-from .solver import (
-    DomainExitError,
-    MarchingError,
-    NonConvergenceError,
-    SolverReport,
-    contraction_respected,
-    oracle_residual,
-    solve_picard,
-)
 from .specialfn import ConvergenceError, mittag_leffler, stirling_table
 
 __all__ = ["main", "entry"]
@@ -68,6 +52,8 @@ def read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     Lines starting with ``#`` are comments.  Accepts the headers this tool
     itself writes (x,y / x,result) as well as x,f, so outputs chain back in.
     """
+    import numpy as np
+
     xs: list[float] = []
     fs: list[float] = []
     header_seen = False
@@ -127,6 +113,9 @@ def _print_report(report: SolverReport) -> None:
 
 
 def cmd_solve(args) -> int:
+    from .problemfile import load_problem
+    from .solver import NonConvergenceError, solve_picard
+
     problem, config = load_problem(args.problem)
     partial = False
     try:
@@ -142,6 +131,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_operator(args) -> int:
+    import numpy as np
+
+    from .fracops import SampledFunction, gfd_caputo, gfd_riemann, gfi_apply, make_grid
+
     x_data, f_data = read_xy_csv(args.data)
     a = args.a
     span = x_data[-1] - x_data[0]
@@ -196,6 +189,12 @@ def _observed_orders(errs: list[float]) -> list[float]:
 
 
 def cmd_study(args) -> int:
+    import numpy as np
+
+    from .fracops import RefinementError
+    from .problemfile import load_problem
+    from .solver import contraction_respected, oracle_residual, solve_picard
+
     problem, config = load_problem(args.problem)
     ns = args.resolutions
     reference = problem.rhs.exact(problem)
@@ -318,6 +317,14 @@ def _command_and_input(args) -> str:
     return args.command     # ml and stirling take only numbers
 
 
+def _refusals() -> tuple:
+    """The numeric modules' refusals, imported only once an error gets here."""
+    from .fracops import RefinementError
+    from .solver import DomainExitError, MarchingError, NonConvergenceError
+
+    return RefinementError, DomainExitError, MarchingError, NonConvergenceError
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -329,12 +336,14 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, RefinementError, DomainExitError,
-            MarchingError, NonConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OverflowError as exc:
         print(f"error: overflow in {_command_and_input(args)}: {exc}", file=sys.stderr)
+        return 2
+    except ConvergenceError as exc:     # ml's refusal: matched before numpy loads
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _refusals() as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -76,7 +76,8 @@ class DomainExitError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Picard iteration hit max_iter; carries the partial solution/report."""
+    """Picard iteration hit max_iter or a period-2 cycle; carries the
+    partial solution/report."""
 
     def __init__(self, message: str, solution: SampledFunction, report: "SolverReport"):
         super().__init__(message)
@@ -396,9 +397,11 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     update starts from (the rule of :class:`SolverConfig`); below, "tol"
     means this scaled value.  Returns (solution, report); raises
     NonConvergenceError carrying both, with the last scaled tol in its
-    message, if max_iter is exhausted, and OverflowError if an iterate of
-    the exact sum is not finite.  Setup, iteration and residual run
-    under one ``np.errstate``, so an overflow raises no numpy warning.
+    message, if max_iter is exhausted or an exact-sum iterate equals the
+    one two iterations back (a period-2 cycle, which no further iteration
+    leaves), and OverflowError if an iterate of the exact sum is not
+    finite.  Setup, iteration and residual run under one ``np.errstate``,
+    so an overflow raises no numpy warning.
 
     Each iterate takes its history sum from the O(n log n) FFT convolution
     (``QuadratureWeights.apply_fft``) while tol < delta < previous delta,
@@ -426,7 +429,7 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
         y = t.copy()
         deltas = []
         fft_iterations = 0
-        converged = False
+        y_before = None     # the iterate before y, once the exact sum made y
         for k in range(config.max_iter):
             # every iteration so far took the FFT path, and this is not the last
             fft = fft_iterations == k and k + 1 < config.max_iter
@@ -443,9 +446,11 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
                 raise OverflowError(f"Picard iterate {k + 1} is not finite")
             _check_in_box(y_next, t, problem.K, "Picard iterate")
             deltas.append(delta)
-            y = y_next
-            if delta <= tol:
-                converged = True
+            # an exact iterate equal to the one two back: a period-2 cycle from here on
+            repeat = y_before is not None and np.array_equal(y_next, y_before)
+            y_before, y = (y if fft_iterations <= k else None), y_next
+            converged = delta <= tol
+            if converged or repeat:
                 break
         solution = SampledFunction(grid, y)
         report = SolverReport(
@@ -461,9 +466,10 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
             converged=converged,
         )
     if not converged:
+        why = (f": iterate {len(deltas)} repeats iterate {len(deltas) - 2}, a period-2 "
+               "cycle" if repeat else f" within max_iter = {config.max_iter}")
         raise NonConvergenceError(
-            f"no convergence within max_iter = {config.max_iter} "
-            f"(last update {deltas[-1]:.3e} > tol {tol:.3e})",
+            f"no convergence{why} (last update {deltas[-1]:.3e} > tol {tol:.3e})",
             solution, report)
     return solution, report
 

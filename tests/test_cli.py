@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gfcalc import cli, fracops
+from gfcalc import fracops, solver
 from gfcalc.cli import main, read_xy_csv
 from gfcalc.fracops import RefinementError
 from gfcalc.solver import SolverConfig, solve_picard
@@ -531,7 +531,7 @@ def test_study_reports_an_oracle_refusal(tmp_path, capsys, monkeypatch):
     def refuse(y, problem):
         raise RefinementError(reason)
 
-    monkeypatch.setattr(cli, "oracle_residual", refuse)
+    monkeypatch.setattr(solver, "oracle_residual", refuse)
     prob = write(tmp_path / "zero.prob", ZERO_PROB)
     code, out, err = run(capsys, ["study", prob, "--resolutions", "17,33"])
     assert code == 0

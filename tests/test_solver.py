@@ -852,6 +852,24 @@ def test_picard_nonconvergence_names_the_effective_tol():
     assert str(exc.value).endswith(" > tol 4.000e-14)")
 
 
+def test_picard_stops_at_an_exact_period_2_cycle():
+    # a large L s(h)^alpha: the exact-phase iterates settle into a bitwise
+    # 2-cycle near iteration 150, which plain iteration never leaves
+    p = problem(alpha=0.539, y0=(-0.9411239795189432,), name="sin",
+                params={"c": 2.3613855464899416}, h_star=9.991893671376308,
+                K=6.326076843131313)
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_picard(p, SolverConfig(n_nodes=257, max_iter=2000))
+    err = exc.value
+    k = err.report.iterations
+    assert k < 160 and not err.report.converged
+    assert str(err).startswith(
+        f"no convergence: iterate {k} repeats iterate {k - 2}, a period-2 cycle "
+        f"(last update {err.report.deltas[-1]:.3e} > tol ")
+    assert err.report.deltas[-1] == err.report.deltas[-2]
+    assert err.solution.grid.n_nodes == 257
+
+
 # ---------------------------------------------------------------------------
 # operator-level invariants
 # ---------------------------------------------------------------------------
