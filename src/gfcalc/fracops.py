@@ -48,9 +48,14 @@ _REFERENCE_TOL = 1e-10     # gfi_reference and the study oracle, by default
 _REFERENCE_MAX_DEPTH = 16
 # apply_exact's slice caps: weights and values each take at most _MAX_SLICES
 # slices, and a level sums its slice pairs p + q = s in chunks of at most
-# _LEVEL_PAIRS pairs, one inverse FFT each, so that cap alone sets beta
+# _LEVEL_PAIRS pairs, one inverse FFT each, so that cap alone sets beta.
+# _MAX_SLICES is the most that holds at every n: beta = (45 - bitlen(6 n)) // 2
+# is at most 20 for every n >= 2 (n = 2 gives 20), so the deepest level,
+# L = 2 * 25 - 2, has scale 2**-(beta (L + 2)) >= 2**-1000, which is normal;
+# and a value that the 2**-e scaling leaves subnormal needs more than
+# 1022 / 20 > 25 slices, so the cap still refuses it
 _LEVEL_PAIRS = 6
-_MAX_SLICES = 12
+_MAX_SLICES = 25
 # _ramp_moments keeps its last _MOMENT_CACHE_SIZE tables of m_max at most
 # _MOMENT_CACHE_M: with 32 bytes per m (two 16-byte longdoubles) at most
 # about 2.1 MB, enough for four problems solved at n 1025, 2049 and 4097
@@ -267,7 +272,8 @@ def _int_slices(x: np.ndarray, beta: int, cap: int):
     lies in [1/2, 1), so every splitting constant is normal whatever the
     range of x.  An entry that the scale flushes to zero (only an e > 0
     can) is refused here; one that it rounds but keeps is subnormal, below
-    the last of ``cap`` slices, and refused by the cap.  Slice k is the rest
+    2**-1022, so its bits lie past slice 1022 / beta, and a cap below that,
+    as ``_MAX_SLICES`` is, refuses it.  Slice k is the rest
     rounded to a multiple of 2**unit, unit = -beta*(k+1), by adding and
     subtracting sigma = 1.5 * 2**(unit + 52), whose ulp is 2**unit (Rump,
     Ogita & Oishi's ExtractScalar); the rest stays exact.
@@ -306,8 +312,9 @@ class QuadratureWeights:
     the life of the instance, with no key beyond the instance itself: the
     band's spectrum for :meth:`apply_fft` (16 n bytes at n = 2**k + 1), and
     for :meth:`apply_exact` the column-0 part of each weight slice and the
-    spectrum of its band part (at most ``_MAX_SLICES`` of each, at most
-    about 1.2 MB at n = 4097).  They are the same arrays, from the same
+    spectrum of its band part (at most ``_MAX_SLICES`` of each: about
+    98 KB a slice at n = 4097, so 2.5 MB for 25 slices, and 9.8 MB for 25
+    at n = 16385).  They are the same arrays, from the same
     arithmetic, that each call would compute, so every result keeps its
     bytes.
     """
@@ -379,7 +386,7 @@ class QuadratureWeights:
         The weights and the values are split error-free into integer slices
         of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012);
         column 0 is split with the band.  Each takes at most ``_MAX_SLICES``
-        (12) slices.  Level s collects the slice pairs p + q = s in chunks of
+        (25) slices.  Level s collects the slice pairs p + q = s in chunks of
         at most ``_LEVEL_PAIRS`` (6) pairs, one inverse FFT each; beta keeps
         every chunk's integer sum below 2**45 (``_LEVEL_PAIRS`` * n *
         2**(2 beta)), so the FFT convolutions, at :meth:`apply_fft`'s
@@ -394,20 +401,25 @@ class QuadratureWeights:
         instance splits and transforms the weights and keeps them; every
         call splits and transforms only its values.
 
-        Falls back to :meth:`apply` in three cases only: values that are not
-        finite; weights or values that need more than ``_MAX_SLICES``
-        slices, for weights from order alpha about 14.2 at n = 1025, 11.2 at
-        4097 and 7.9 at 16385, and for values with full 53-bit mantissas a
-        largest |value| above about 2**(12 beta - 53) times the smallest
-        nonzero one (2**139 at n = 1025, 2**127 at 4097, 2**115 at 16385);
-        or an FFT output more than 1/8 from an integer.
+        Values that are not finite are refused with ``ValueError``.  Falls
+        back to :meth:`apply` in one case only: weights (non-finite ones
+        among them) or values that need more than ``_MAX_SLICES`` slices.
+        For weights on [0, 1] that is from order alpha about 34.7 at
+        n = 1025, 27.0 at 4097 and 21.7 at 16385; for values with full
+        53-bit mantissas, a
+        largest |value| above about 2**(25 beta - 53) times the smallest
+        nonzero one (2**347 at n = 1025, 2**322 at 4097, 2**297 at 16385),
+        or an entry the scaling would flush to zero.  An FFT output more than
+        1/8 from an integer, which beta rules out, raises ``AssertionError``
+        naming its level.
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values must be finite")
         beta = self._beta
         split_w = self._weight_split
-        split_v = (_int_slices(vals, beta, _MAX_SLICES)
-                   if split_w is not None and np.all(np.isfinite(vals)) else None)
+        split_v = None if split_w is None else _int_slices(vals, beta, _MAX_SLICES)
         if split_v is None:
             return self.apply(vals)
         (e_w, w_heads, w_spectra), (e_v, v_slices) = split_w, split_v
@@ -424,8 +436,10 @@ class QuadratureWeights:
                 conv = np.fft.irfft(sum(w_spectra[p] * v_spectra[q] for p, q in chunk),
                                     size)[:n - 1]
                 ints = np.rint(conv)
-                if np.any(np.abs(conv - ints) > 0.125):
-                    return self.apply(vals)
+                if np.any(np.abs(conv - ints) > 0.125):     # beta rules this out
+                    raise AssertionError(
+                        f"apply_exact: an FFT output of level {level} is more "
+                        "than 1/8 from an integer")
                 total[1:] += ints
             # level s counts 2**(e_w + e_v - beta (s + 2)); the chain runs at
             # 2**-(e_w + e_v), where every level is normal
@@ -443,7 +457,7 @@ class QuadratureWeights:
         """Evaluate the quadrature at every node in O(n**2); node 0 is exactly
         0.  The compensated reference that :meth:`apply_exact` and
         :meth:`apply_fft` are tested against, and :meth:`apply_exact`'s last
-        resort for inputs it cannot sum exactly; no operator calls it.
+        resort for a split past ``_MAX_SLICES`` slices; no operator calls it.
 
         All rows are accumulated together, one column at a time in index
         order, and the exact rounding error of each addition (TwoSum) is
@@ -529,8 +543,9 @@ def gfd_riemann(f: SampledFunction, alpha: float) -> SampledFunction:
     one-sided at both ends, divided by ds; integer alpha short-circuits to
     the plain n-th s-derivative.  Values at the first node rely on
     one-sided stencils of a weakly singular profile and carry low
-    confidence; refine or read interior nodes instead.  A result that
-    overflows raises ``OverflowError``.
+    confidence; refine or read interior nodes instead.  For alpha > 1 the
+    composed stencils also make the last two nodes first order (README,
+    Numerical notes).  A result that overflows raises ``OverflowError``.
     """
     _check_finite("alpha", alpha)
     norder = math.ceil(alpha)

@@ -317,12 +317,23 @@ def step_h(problem: IVProblem, M: float) -> float:
     (ROADMAP item 4): M from :func:`estimate_M` is a lattice lower estimate
     of sup |f|, and for rho != 1 the bound M s(h)**alpha / Gamma(alpha+1)
     <= K needs the exponent 1/(rho alpha), not 1/alpha.
+
+    A cap past the double range is h_star; one that underflows to 0 is
+    refused with ``ValueError``.  An overflow in ``rho**alpha`` raises
+    ``OverflowError``.
     """
     _check_finite("M", M, strict=False)
     if M == 0.0:
         return problem.h_star
     alpha, rho = problem.alpha, problem.rho
-    cap = (problem.K * _gamma(alpha, 1.0) * rho**alpha / M) ** (1.0 / alpha)
+    base = problem.K * _gamma(alpha, 1.0) * rho**alpha / M
+    try:
+        cap = base ** (1.0 / alpha)
+    except OverflowError:
+        return problem.h_star
+    if cap == 0.0:
+        raise ValueError(f"existence step (K Gamma(alpha+1) rho**alpha / M)**(1/alpha) "
+                         f"underflows to 0 (alpha = {alpha}, M = {M})")
     return min(problem.h_star, cap)
 
 

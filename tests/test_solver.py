@@ -283,6 +283,26 @@ def test_step_h_clamps_at_h_star():
     assert ulp_gap(step_h(p_wide, 1.0), math.pi / 2.0) <= 2.0
 
 
+def test_step_h_past_the_double_range_is_h_star():
+    # (K Gamma(alpha+1) / M)**(1/alpha) = 8.9**2000 overflows: the cap lies
+    # above every double, so the step is h_star, and both solvers agree there
+    p = problem(alpha=5e-4, y0=(0.5,), params={"lambda": -0.1}, K=4.0)
+    assert step_h(p, estimate_M(p)) == 1.0
+    config = SolverConfig(n_nodes=257, tol=1e-12)
+    solution, report = solve_picard(p, config)
+    assert report.converged and report.h_used == 1.0
+    assert np.max(np.abs(solution.values - solve_marching(p, config).values)) < 1e-11
+
+
+def test_step_h_that_underflows_is_refused():
+    # (Gamma(alpha+1) / 1.5)**2000 underflows to 0, which is no step
+    p = problem(alpha=5e-4, y0=(0.5,), params={"lambda": -1.0}, K=1.0)
+    with pytest.raises(ValueError, match="existence step"):
+        step_h(p, estimate_M(p))
+    with pytest.raises(ValueError, match="existence step"):
+        solve_picard(p, SolverConfig(n_nodes=33))
+
+
 def test_step_h_validation():
     with pytest.raises(ValueError):
         step_h(problem(), -1.0)

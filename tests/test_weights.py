@@ -353,6 +353,49 @@ def test_apply_exact_sums_high_order_weights_exactly(monkeypatch):
         assert abs(Fraction(float(got[i])) - exact) <= ulp, i
 
 
+@pytest.mark.parametrize("alpha,values", [
+    (20.0, lambda t: np.random.default_rng(257).standard_normal(t.size)),
+    (30.0, lambda t: np.random.default_rng(257).standard_normal(t.size)),
+    (0.5, lambda t: np.exp(120.0 * t)),
+], ids=["alpha 20", "alpha 30", "exp(t) to e^120"])
+def test_apply_exact_sums_splits_of_up_to_25_slices(alpha, values, monkeypatch):
+    # at n = 257 the weights of order 20 and 30 take 13 and 18 slices, and
+    # values spread over e^120 (about 2**173) take 14
+    n = 257
+    w = build_weights(make_grid(0.0, 1.4, 1.0, n), alpha)
+    vals = values(np.linspace(0.0, 1.0, n))
+    forbid_apply(monkeypatch)
+    got = w.apply_exact(vals)
+    assert got[0] == 0.0
+    assert_within_an_ulp(got, exact_node_sums(w, vals), alpha)
+
+
+def test_apply_exact_at_order_ten_on_a_long_grid_makes_no_apply(monkeypatch):
+    # the weights of order 10 take 14 slices at n = 16385
+    n = 16385
+    w = build_weights(make_grid(0.0, 1.0, 1.0, n), 10.0)
+    calls = 0
+    apply = QuadratureWeights.apply
+
+    def counted(self, values):
+        nonlocal calls
+        calls += 1
+        return apply(self, values)
+
+    monkeypatch.setattr(QuadratureWeights, "apply", counted)
+    got = w.apply_exact(np.random.default_rng(n).standard_normal(n))
+    assert calls == 0
+    assert got[0] == 0.0 and np.all(np.isfinite(got))
+
+
+def test_slice_cap_keeps_every_level_normal():
+    # beta is largest, 20, at n = 2; the deepest level's scale,
+    # 2**-(beta (2 _MAX_SLICES)), is then still normal
+    w = build_weights(make_grid(0.0, 1.0, 1.0, 2), 0.5)
+    assert w._beta == 20
+    assert 2 * fracops._MAX_SLICES * 20 <= 1022
+
+
 @pytest.mark.parametrize("n", [65, 257, 1025])
 def test_apply_exact_sums_values_at_the_ends_of_the_range(n, monkeypatch):
     # each split runs at max |x| scaled into [1/2, 1), so values near the
@@ -438,19 +481,19 @@ def test_apply_exact_refuses_an_entry_the_scale_would_flush(monkeypatch):
     (0.25, 2.0, 1025),
 ])
 def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
-    # the byte gate's growing input needs more than 12 slices and nan is not
-    # finite, so both go to apply; its huge input and standard-normal values
+    # the byte gate's growing input needs more than 25 slices, so it goes to
+    # apply, and nan is refused; its huge input and standard-normal values
     # scaled to 1e-290 split after scaling by 2**-e, and are summed exactly
     w = build_weights(make_grid(0.0, 1.4, rho, n), alpha)
     rng = np.random.default_rng(n)
     inputs = {
         "growing": np.geomspace(1e-150, 1e150, n) * (-1.0) ** np.arange(n),
         "huge": np.where(rng.random(n) < 0.5, -1e300, 1e300),
-        "nan": np.where(np.arange(n) == n // 2, np.nan, 1.0),
     }
+    nan = np.where(np.arange(n) == n // 2, np.nan, 1.0)
     # drawn after the others so their data stays as it was
     inputs["tiny"] = rng.standard_normal(n) * 1e-290
-    fallbacks = ("growing", "nan")
+    fallbacks = ("growing",)
     wants = {kind: w.apply(inputs[kind]).tobytes() for kind in fallbacks}
     calls = 0
     apply = QuadratureWeights.apply
@@ -468,7 +511,9 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
         else:
             assert got[0] == 0.0, kind
             assert_within_an_ulp(got, exact_node_sums(w, vals), kind)
-    assert calls == len(fallbacks)
+    with pytest.raises(ValueError, match="values must be finite"):
+        w.apply_exact(nan)
+    assert calls == 1
 
 
 def test_apply_exact_falls_back_on_a_level_past_the_overflow_threshold(monkeypatch):
@@ -512,14 +557,14 @@ def test_operators_and_solver_make_no_compensated_apply(monkeypatch):
     assert calls == 0
 
 
-def test_apply_exact_falls_back_when_an_fft_output_is_off_an_integer(monkeypatch):
+def test_apply_exact_refuses_an_fft_output_off_an_integer(monkeypatch):
+    # beta rules such an output out, so it is an internal error, not a fallback
     w = build_weights(make_grid(0.0, 1.0, 1.0, 33), 1.6)
     vals = np.random.default_rng(33).standard_normal(33)
-    want = w.apply(vals).tobytes()
-    assert w.apply_exact(vals).tobytes() != want
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.25)
-    assert w.apply_exact(vals).tobytes() == want
+    with pytest.raises(AssertionError, match="level 0 "):
+        w.apply_exact(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -739,18 +784,21 @@ def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n):
     inputs = {
         "growing": np.geomspace(1e-150, 1e150, n) * (-1.0) ** np.arange(n),
         "huge": np.where(rng.random(n) < 0.5, -1e300, 1e300),
-        "nan": np.where(np.arange(n) == n // 2, np.nan, 1.0),
         "tiny": rng.standard_normal(n) * 1e-290,
     }
+    nan = np.where(np.arange(n) == n // 2, np.nan, 1.0)
     normal = rng.standard_normal(n)
     first = w.apply_exact(normal)
     for kind, vals in inputs.items():
         fresh = build_weights(grid, alpha).apply_exact(vals)
         assert w.apply_exact(vals).tobytes() == fresh.tobytes(), kind
-        if kind in ("growing", "nan"):
+        if kind == "growing":
             assert fresh.tobytes() == w.apply(vals).tobytes(), kind
         else:
             assert_within_an_ulp(fresh, exact_node_sums(w, vals), kind)
+    for weights in (build_weights(grid, alpha), w):
+        with pytest.raises(ValueError, match="values must be finite"):
+            weights.apply_exact(nan)
     assert w.apply_exact(normal).tobytes() == first.tobytes()
     # sums past the overflow threshold
     w = build_weights(make_grid(0.0, 1e30, 1.0, 65), 2.5)

@@ -20,8 +20,9 @@ range (y0 1e307, and alpha 149.5 with an overflowing Taylor polynomial), and
 CSVs on 257 nodes: sin(3x), seeded standard-normal noise, that noise times
 1e-290, seeded signs times 1e300, and noise spread over e^-20..e^20.  The
 operator cases include ones of order 7, whose weights take more slices than
-the others, and the ml cases two negative arguments whose series cancel past
-its accuracy target.
+the others, and ``operator integral noise.csv alpha 25``, whose weights take
+15, and the ml cases two negative arguments whose series cancel past its
+accuracy target.
 
 Library: 144 problems (six right-hand sides x alpha 0.4, 0.8, 1.3, 1.9 x
 rho 0.5, 1, 2 x n 33, 257; y0 0.5, or (0.5, -0.25) above order 1; h_star 1,
@@ -124,6 +125,10 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
                                         ("integral", "7.0", "1.0", [])):
             argv = ["operator", kind, csv, "--alpha", alpha, "--rho", rho, "--a", "0"]
             commands.append((f"operator {kind} {csv} alpha {alpha}", argv + extra))
+    # order 25, whose weights take 15 slices at 257 nodes
+    commands.append(("operator integral noise.csv alpha 25",
+                     ["operator", "integral", "noise.csv", "--alpha", "25", "--rho", "1.0",
+                      "--a", "0"]))
     commands.append(("operator caputo sin.csv without --init",
                      ["operator", "caputo", "sin.csv", "--alpha", "0.5", "--rho", "1.0",
                       "--a", "0"]))
