@@ -46,14 +46,15 @@ __all__ = [
 
 _REFERENCE_TOL = 1e-10     # gfi_reference and the study oracle, by default
 _REFERENCE_MAX_DEPTH = 16
-# apply_exact's slice caps: weights and values each take at most _MAX_SLICES
-# slices, and a level sums its slice pairs p + q = s in chunks of at most
-# _LEVEL_PAIRS pairs, one inverse FFT each, so that cap alone sets beta.
+# apply_exact splits the weights and the values into pieces of at most
+# _MAX_SLICES slices each, and a level sums its slice pairs in chunks of at
+# most _LEVEL_PAIRS pairs, one inverse FFT each, so that cap alone sets beta.
 # _MAX_SLICES is the most that holds at every n: beta = (45 - bitlen(6 n)) // 2
-# is at most 20 for every n >= 2 (n = 2 gives 20), so the deepest level,
-# L = 2 * 25 - 2, has scale 2**-(beta (L + 2)) >= 2**-1000, which is normal;
-# and a value that the 2**-e scaling leaves subnormal needs more than
-# 1022 / 20 > 25 slices, so the cap still refuses it
+# is at most 20 for every n >= 2 (n = 2 gives 20), so the deepest level of
+# one pair of pieces, L = 2 * 25 - 2, has scale 2**-(beta (L + 2)) >= 2**-1000,
+# which is normal; and a value that the 2**-e scaling leaves subnormal needs
+# more than 1022 / 20 > 25 slices, so the cap refuses it and a later piece
+# takes it
 _LEVEL_PAIRS = 6
 _MAX_SLICES = 25
 # _ramp_moments keeps its last _MOMENT_CACHE_SIZE tables of m_max at most
@@ -268,15 +269,16 @@ def _int_slices(x: np.ndarray, beta: int, cap: int):
 
     Returns (e, slices) with x == sum_k slices[k] * 2**(e - beta*(k+1))
     exactly and |slices[k]| <= 2**beta, or None when that takes more than
-    ``cap`` slices.  The split runs on x * 2**-e, whose largest magnitude
-    lies in [1/2, 1), so every splitting constant is normal whatever the
-    range of x.  An entry that the scale flushes to zero (only an e > 0
-    can) is refused here; one that it rounds but keeps is subnormal, below
-    2**-1022, so its bits lie past slice 1022 / beta, and a cap below that,
-    as ``_MAX_SLICES`` is, refuses it.  Slice k is the rest
-    rounded to a multiple of 2**unit, unit = -beta*(k+1), by adding and
-    subtracting sigma = 1.5 * 2**(unit + 52), whose ulp is 2**unit (Rump,
-    Ogita & Oishi's ExtractScalar); the rest stays exact.
+    ``cap`` slices; :func:`_int_pieces` then splits x in pieces.  The split
+    runs on x * 2**-e, whose largest magnitude lies in [1/2, 1), so every
+    splitting constant is normal whatever the range of x.  An entry that
+    the scale flushes to zero (only an e > 0 can) is refused here; one that
+    it rounds but keeps is subnormal, below 2**-1022, so its bits lie past
+    slice 1022 / beta, and a cap below that, as ``_MAX_SLICES`` is, refuses
+    it.  Slice k is the rest rounded to a multiple of 2**unit, unit =
+    -beta*(k+1), by adding and subtracting sigma = 1.5 * 2**(unit + 52),
+    whose ulp is 2**unit (Rump, Ogita & Oishi's ExtractScalar); the rest
+    stays exact.
     """
     e = math.frexp(float(np.max(np.abs(x))))[1]    # max |x| < 2**e
     rest = np.ldexp(x, -e)
@@ -292,6 +294,33 @@ def _int_slices(x: np.ndarray, beta: int, cap: int):
         rest = rest - top
         slices.append(np.ldexp(top, -unit))
     return e, slices
+
+
+def _int_pieces(x: np.ndarray, beta: int):
+    """Split x error-free into pieces of at most ``_MAX_SLICES`` slices of
+    :func:`_int_slices`: (units, slices) with x == sum_k slices[k] *
+    2**units[k] exactly, each piece's slices largest first; none for x = 0.
+
+    A piece is the whole rest when it splits, and otherwise its entries
+    within ``_MAX_SLICES`` beta - 53 bits of its largest: every bit of
+    those lies within ``_MAX_SLICES`` slices of the piece's scale, so they
+    always split.  So x that splits is one piece, and the double range
+    takes at most about seven.
+    """
+    units, slices = [], []
+    while np.any(x):
+        piece = x
+        split = _int_slices(piece, beta, _MAX_SLICES)
+        if split is None:
+            e = math.frexp(float(np.max(np.abs(x))))[1]
+            piece = np.where(np.abs(x) >= math.ldexp(1.0, e + 52 - _MAX_SLICES * beta),
+                             x, 0.0)
+            split = _int_slices(piece, beta, _MAX_SLICES)
+        e, piece_slices = split
+        units += [e - beta * (k + 1) for k in range(len(piece_slices))]
+        slices += piece_slices
+        x = x - piece
+    return units, slices
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,9 +341,10 @@ class QuadratureWeights:
     the life of the instance, with no key beyond the instance itself: the
     band's spectrum for :meth:`apply_fft` (16 n bytes at n = 2**k + 1), and
     for :meth:`apply_exact` the column-0 part of each weight slice and the
-    spectrum of its band part (at most ``_MAX_SLICES`` of each: about
-    98 KB a slice at n = 4097, so 2.5 MB for 25 slices, and 9.8 MB for 25
-    at n = 16385).  They are the same arrays, from the same
+    spectrum of its band part, in pieces of at most ``_MAX_SLICES`` slices:
+    about 98 KB a slice at n = 4097, so 2.5 MB for the one piece of order
+    26 and 3.9 MB for the two of order 40 (25 + 14 slices), and 390 KB a
+    slice at n = 16385.  They are the same arrays, from the same
     arithmetic, that each call would compute, so every result keeps its
     bytes.
     """
@@ -364,72 +394,75 @@ class QuadratureWeights:
 
     @cached_property
     def _weight_split(self):
-        """(e, heads, spectra): ``first`` and ``band`` split together by
-        :func:`_int_slices`, and of each slice a copy of its column-0 part
-        and the spectrum of its band part; None when the weights need more
-        than ``_MAX_SLICES`` slices."""
-        split = _int_slices(np.concatenate((self.first, self.band)), self._beta,
-                            _MAX_SLICES)
-        if split is None:
-            return None
-        e, slices = split
+        """(units, heads, spectra): ``first`` and ``band`` split together by
+        :func:`_int_pieces`, and of each slice a copy of its column-0 part
+        and the spectrum of its band part.  Weights that are not finite
+        raise ``OverflowError`` naming the order."""
+        weights = np.concatenate((self.first, self.band))
+        if not np.all(np.isfinite(weights)):
+            raise OverflowError(f"weights of order {self.alpha} are not finite")
+        units, slices = _int_pieces(weights, self._beta)
         n = self.grid.n_nodes
-        return (e, [s[:n].copy() for s in slices],
+        return (units, [s[:n].copy() for s in slices],
                 [np.fft.rfft(s[n:], self._fft_size) for s in slices])
 
     def apply_exact(self, values: np.ndarray) -> np.ndarray:
         """The library's history sum W v in O(n log n), each node within
         about an ulp of the exact sum of stored weight times value; node 0 is
         exactly 0.  :func:`gfi_apply`, and through it the derivatives, and the
-        Picard solver all take their sums from here.
+        Picard solver all take their sums from here, for every finite input.
 
         The weights and the values are split error-free into integer slices
-        of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012);
-        column 0 is split with the band.  Each takes at most ``_MAX_SLICES``
-        (25) slices.  Level s collects the slice pairs p + q = s in chunks of
-        at most ``_LEVEL_PAIRS`` (6) pairs, one inverse FFT each; beta keeps
-        every chunk's integer sum below 2**45 (``_LEVEL_PAIRS`` * n *
-        2**(2 beta)), so the FFT convolutions, at :meth:`apply_fft`'s
-        length, round back to exact integers; beta is 17 at n = 257, 16 at
-        1025, 15 at 4097 and 14 at 16385.  The levels, exact and largest
-        first, are added by a TwoSum chain with a second accumulator, at the
-        scale 2**-(e_w + e_v) of the two splits, where every level is normal,
-        and the result is scaled back once.  That adds them as if in twice
-        the working precision, so only a node whose sum cancels to below
-        about 1e-13 of its largest level can be off by more than an ulp.  A
-        sum that overflows comes back as +-inf.  The first call on an
-        instance splits and transforms the weights and keeps them; every
-        call splits and transforms only its values.
+        of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012),
+        in pieces of at most ``_MAX_SLICES`` (25) slices (:func:`_int_pieces`);
+        column 0 is split with the band.  A level collects the slice pairs of
+        one scale, p + q = s within one pair of pieces, in chunks of at most
+        ``_LEVEL_PAIRS`` (6) pairs, one inverse FFT each; beta keeps every
+        chunk's integer sum below 2**45 (``_LEVEL_PAIRS`` * n * 2**(2 beta)),
+        so the FFT convolutions, at :meth:`apply_fft`'s length, round back to
+        exact integers; beta is 17 at n = 257, 16 at 1025, 15 at 4097 and 14
+        at 16385.  The levels, exact and largest first, are added by a TwoSum
+        chain with a second accumulator, and the result is scaled back once.
+        The chain runs at the scale of the first level, where every level of
+        its pair of pieces is normal (at least 2**-1000); a level more than
+        2 ``_MAX_SLICES`` beta bits below, deeper than any one pair reaches,
+        moves each node whose chain is still 0 to its own scale, so a level
+        loses only bits below 2**-74 of the first level that reached its
+        node.  That adds the levels as if in
+        twice the working precision, so only a node whose sum cancels to
+        below about 1e-13 of its largest level can be off by more than an
+        ulp.  A sum past the double range comes back as the infinity of its
+        sign, and one whose parts pass it but cancel as a finite sum.  The
+        first call on an instance splits and transforms the weights and keeps
+        them; every call splits and transforms only its values.  The cost
+        grows with the number of pieces, one for all but weights of order
+        above about 27 at n = 4097 (21.7 at 16385) and values spread over
+        more than about 2**322 (2**297 at 16385).
 
-        Values that are not finite are refused with ``ValueError``.  Falls
-        back to :meth:`apply` in one case only: weights (non-finite ones
-        among them) or values that need more than ``_MAX_SLICES`` slices.
-        For weights on [0, 1] that is from order alpha about 34.7 at
-        n = 1025, 27.0 at 4097 and 21.7 at 16385; for values with full
-        53-bit mantissas, a
-        largest |value| above about 2**(25 beta - 53) times the smallest
-        nonzero one (2**347 at n = 1025, 2**322 at 4097, 2**297 at 16385),
-        or an entry the scaling would flush to zero.  An FFT output more than
-        1/8 from an integer, which beta rules out, raises ``AssertionError``
-        naming its level.
+        Values that are not finite are refused with ``ValueError``.  All-zero
+        values sum to zeros; any others raise ``OverflowError`` naming the
+        order when a weight is not finite.  An FFT output more than 1/8 from
+        an integer, which beta rules out, raises ``AssertionError`` naming
+        its level.
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        beta = self._beta
-        split_w = self._weight_split
-        split_v = None if split_w is None else _int_slices(vals, beta, _MAX_SLICES)
-        if split_v is None:
-            return self.apply(vals)
-        (e_w, w_heads, w_spectra), (e_v, v_slices) = split_w, split_v
-        if not v_slices:
+        if not np.any(vals):        # before the weights, which may not be finite
             return np.zeros(n)
+        beta = self._beta
+        w_units, w_heads, w_spectra = self._weight_split
+        v_units, v_slices = _int_pieces(vals, beta)
         size = self._fft_size
         v_spectra = [np.fft.rfft(s[1:], size) for s in v_slices]
-        for level in range(len(w_heads) + len(v_slices) - 1):
-            pairs = [(p, level - p) for p in range(len(w_heads))
-                     if 0 <= level - p < len(v_slices)]
+        levels = {}
+        for p, w_unit in enumerate(w_units):
+            for q, v_unit in enumerate(v_units):
+                levels.setdefault(w_unit + v_unit, []).append((p, q))
+        acc, comp, scale = np.zeros(n), np.zeros(n), 0
+        for level, unit in enumerate(sorted(levels, reverse=True)):
+            pairs = levels[unit]
             total = sum(w_heads[p] * v_slices[q][0] for p, q in pairs)
             for c in range(0, len(pairs), _LEVEL_PAIRS):
                 chunk = pairs[c:c + _LEVEL_PAIRS]
@@ -441,23 +474,23 @@ class QuadratureWeights:
                         f"apply_exact: an FFT output of level {level} is more "
                         "than 1/8 from an integer")
                 total[1:] += ints
-            # level s counts 2**(e_w + e_v - beta (s + 2)); the chain runs at
-            # 2**-(e_w + e_v), where every level is normal
-            part = np.ldexp(total, -beta * (level + 2))
+            # the chain runs at 2**-scale, the first level's, where every level
+            # of one pair of pieces is normal; a level deeper than that moves
+            # the nodes it is the first to reach to its own scale
             if level == 0:
-                acc, comp = part, np.zeros(n)
-            else:
-                acc, err = _two_sum(acc, part)
-                comp += err
-        out = np.ldexp(acc + comp, e_w + e_v)
+                scale = top = unit + 2 * beta
+            elif unit - top < -2 * _MAX_SLICES * beta:
+                scale = np.where((acc == 0) & (comp == 0), unit + 2 * beta, scale)
+            acc, err = _two_sum(acc, np.ldexp(total, unit - scale))
+            comp += err
+        out = np.ldexp(acc + comp, scale)
         out[0] = 0.0
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Evaluate the quadrature at every node in O(n**2); node 0 is exactly
         0.  The compensated reference that :meth:`apply_exact` and
-        :meth:`apply_fft` are tested against, and :meth:`apply_exact`'s last
-        resort for a split past ``_MAX_SLICES`` slices; no operator calls it.
+        :meth:`apply_fft` are tested against; no library function calls it.
 
         All rows are accumulated together, one column at a time in index
         order, and the exact rounding error of each addition (TwoSum) is
@@ -487,10 +520,10 @@ class QuadratureWeights:
 def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
     """Product-trapezoidal weights for the Abel kernel of order ``alpha``.
 
-    A weight past the double range comes back non-finite, quietly, as an
-    overflowing sum of ``apply_exact`` does.  Every library caller refuses
-    what follows from it: ``gfi_apply`` and the solvers raise
-    ``OverflowError``, and ``volterra_residual`` returns a non-finite value.
+    A weight past the double range comes back non-finite, quietly.
+    ``apply_exact`` then sums zeros to zeros and raises ``OverflowError``
+    naming the order on any other values, so ``gfi_apply``, the solvers and
+    ``volterra_residual`` refuse them.
     """
     _check_finite("alpha", alpha)
     n = grid.n_nodes

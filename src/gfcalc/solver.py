@@ -411,8 +411,9 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     message, if max_iter is exhausted or an exact-sum iterate equals the
     one two iterations back (a period-2 cycle, which no further iteration
     leaves), and OverflowError if an iterate of the exact sum is not
-    finite.  Setup, iteration and residual run under one ``np.errstate``,
-    so an overflow raises no numpy warning.
+    finite, or a weight is not finite and f is not 0.  Setup, iteration and
+    residual run under one ``np.errstate``, so an overflow raises no numpy
+    warning.
 
     Each iterate takes its history sum from the O(n log n) FFT convolution
     (``QuadratureWeights.apply_fft``) while tol < delta < previous delta,
@@ -608,7 +609,8 @@ def volterra_residual(y: SampledFunction, problem: IVProblem,
     discrete Volterra equation, with the history sum from
     ``QuadratureWeights.apply_exact``.  Pure measurement; never raises on
     box exit.  A history sum that overflows gives inf, quietly; a T that
-    overflows raises ``OverflowError``.
+    overflows, or weights past the double range on a nonzero f, raise
+    ``OverflowError``.
     """
     with np.errstate(all="ignore"):     # an overflowing sum gives inf
         if weights is None:

@@ -406,6 +406,17 @@ def test_operator_overflowing_transform_is_one_error_line(tmp_path, capsys):
     assert err == "error: transformed length (b**rho - a**rho)/rho = inf unusable\n"
 
 
+def test_operator_integral_whose_weights_all_underflow_is_zero(tmp_path, capsys):
+    # on [0, 1e-8] the order-40 weights underflow to 0: the integral is 0
+    src = write(tmp_path / "short.csv", "x,f\n0,1\n1e-8,1\n")
+    code, out, err = run(capsys, ["operator", "integral", src,
+                                  "--alpha", "40", "--rho", "1", "--a", "0"])
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.splitlines()[1:] == ["0.0000000000000000e+00,0.0000000000000000e+00",
+                                    "1.0000000000000000e-08,0.0000000000000000e+00"]
+
+
 def test_operator_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
     # spreadsheet exports often start with one; it must not reach the header
     x = np.linspace(0.0, 1.0, 33)

@@ -5,6 +5,7 @@ The mpmath comparisons build the classical product-trapezoid weights from
 """
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -13,6 +14,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gfcalc import fracops
 from gfcalc.fracops import (QuadratureWeights, SampledFunction, build_weights,
@@ -453,26 +456,13 @@ def test_apply_exact_within_an_ulp_where_the_last_node_cancels(alpha, monkeypatc
     assert_within_an_ulp(got, exact, "cancelling")
 
 
-def test_apply_exact_refuses_an_entry_the_scale_would_flush(monkeypatch):
-    # scaled by 2**-e for max |v| = 1e300, the leading 1e-30 falls below the
-    # least subnormal; a split without it would sum nodes 1..n-2 to 0
-    n = 33
-    w = build_weights(make_grid(0.0, 1.0, 1.0, n), 0.7)
-    vals = np.zeros(n)
-    vals[0], vals[-1] = 1e-30, 1e300
-    want = w.apply(vals).tobytes()
-    calls = 0
-    apply = QuadratureWeights.apply
-
-    def counted(self, values):
-        nonlocal calls
-        calls += 1
-        return apply(self, values)
-
-    monkeypatch.setattr(QuadratureWeights, "apply", counted)
+def test_apply_exact_sums_an_entry_the_scale_would_flush_in_a_second_piece(monkeypatch):
+    # a split without the leading 1e-30 would sum nodes 1..n-2 to 0, so it
+    # takes a piece of its own
+    vals = flush_values()
+    w = build_weights(make_grid(0.0, 1.0, 1.0, vals.size), 0.7)
+    forbid_apply(monkeypatch)
     got = w.apply_exact(vals)
-    assert got.tobytes() == want
-    assert calls == 1
     assert_within_an_ulp(got, exact_node_sums(w, vals), "flush")
 
 
@@ -481,9 +471,10 @@ def test_apply_exact_refuses_an_entry_the_scale_would_flush(monkeypatch):
     (0.25, 2.0, 1025),
 ])
 def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
-    # the byte gate's growing input needs more than 25 slices, so it goes to
-    # apply, and nan is refused; its huge input and standard-normal values
-    # scaled to 1e-290 split after scaling by 2**-e, and are summed exactly
+    # no input reaches apply: the byte gate's growing input needs more than
+    # 25 slices, so it is split into pieces, and nan is refused; its huge
+    # input and standard-normal values scaled to 1e-290 split after scaling
+    # by 2**-e
     w = build_weights(make_grid(0.0, 1.4, rho, n), alpha)
     rng = np.random.default_rng(n)
     inputs = {
@@ -493,27 +484,81 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
     nan = np.where(np.arange(n) == n // 2, np.nan, 1.0)
     # drawn after the others so their data stays as it was
     inputs["tiny"] = rng.standard_normal(n) * 1e-290
-    fallbacks = ("growing",)
-    wants = {kind: w.apply(inputs[kind]).tobytes() for kind in fallbacks}
-    calls = 0
-    apply = QuadratureWeights.apply
-
-    def counted(self, values):
-        nonlocal calls
-        calls += 1
-        return apply(self, values)
-
-    monkeypatch.setattr(QuadratureWeights, "apply", counted)
+    forbid_apply(monkeypatch)
     for kind, vals in inputs.items():
         got = w.apply_exact(vals)
-        if kind in fallbacks:
-            assert got.tobytes() == wants[kind], kind
-        else:
-            assert got[0] == 0.0, kind
-            assert_within_an_ulp(got, exact_node_sums(w, vals), kind)
+        assert got[0] == 0.0, kind
+        assert_within_an_ulp(got, exact_node_sums(w, vals), kind)
     with pytest.raises(ValueError, match="values must be finite"):
         w.apply_exact(nan)
-    assert calls == 1
+
+
+def test_apply_exact_of_weights_that_all_underflow_is_zero(monkeypatch):
+    # on [0, 1e-8] every weight of order 40 underflows to 0, and ones take a
+    # single slice: the exact sum is 0 at every node
+    w = build_weights(make_grid(0.0, 1e-8, 1.0, 257), 40.0)
+    assert not np.any(w.first) and not np.any(w.band)
+    forbid_apply(monkeypatch)
+    got = w.apply_exact(np.ones(257))
+    assert got.tobytes() == np.zeros(257).tobytes()
+
+
+@st.composite
+def spread_values(draw):
+    """N(0,1) 2**U on 2 to 257 nodes, U spread over up to 600 bits about a
+    centre anywhere from the underflow to the overflow threshold."""
+    n = draw(st.integers(2, 257))
+    centre = draw(st.integers(-1074, 1020))
+    span = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = np.clip(np.rint(centre + span * (rng.random(n) - 0.5)), -1100, 1020)
+    return np.ldexp(rng.standard_normal(n), exponents.astype(int))
+
+
+def flush_values() -> np.ndarray:
+    # scaled by 2**-e for max |v| = 1e300, the 1e-30 would fall below the
+    # least subnormal
+    vals = np.zeros(33)
+    vals[0], vals[-1] = 1e-30, 1e300
+    return vals
+
+
+def opposite_overflow_values() -> np.ndarray:
+    # +-1e250 against weights up to about 1e72 overflow with either sign, and
+    # every third entry takes a piece of its own
+    rng = np.random.default_rng(65)
+    vals = np.where(rng.random(65) < 0.5, -1e250, 1e250)
+    vals[::3] = rng.standard_normal(22) * 1e-250
+    return vals
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.0, 40.0, exclude_min=True),
+       length=st.floats(-40.0, 40.0).map(math.exp), vals=spread_values())
+@example(alpha=0.25, length=1.4,
+         vals=np.geomspace(1e-150, 1e150, 257) * (-1.0) ** np.arange(257))
+@example(alpha=0.7, length=1.0, vals=flush_values())
+@example(alpha=30.0, length=1.0, vals=np.random.default_rng(1025).standard_normal(1025))
+@example(alpha=40.0, length=1.0, vals=np.random.default_rng(1025).standard_normal(1025))
+@example(alpha=2.5, length=1e30, vals=opposite_overflow_values())
+def test_apply_exact_sums_every_finite_input_within_an_ulp(alpha, length, vals):
+    # every node within an ulp of the exact sum, or the infinity of its sign
+    # past the double range, with no apply; at n 1025 the weights of order 30
+    # and 40 take 22 and 32 slices.  Weights past the double range sum zeros
+    # to zeros and refuse anything else
+    n = vals.size
+    w = build_weights(make_grid(0.0, length, 1.0, n), alpha)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+        forbid_apply(patch)
+        if not (np.all(np.isfinite(w.first)) and np.all(np.isfinite(w.band))):
+            assert w.apply_exact(np.zeros(n)).tobytes() == np.zeros(n).tobytes()
+            if np.any(vals):
+                with pytest.raises(OverflowError, match=re.escape(f"order {alpha} ")):
+                    w.apply_exact(vals)
+            return
+        got = w.apply_exact(vals)
+    assert got[0] == 0.0
+    assert_within_an_ulp(got, exact_node_sums(w, vals), alpha)
 
 
 def test_apply_exact_falls_back_on_a_level_past_the_overflow_threshold(monkeypatch):
@@ -775,9 +820,11 @@ def test_apply_fft_transforms_the_band_once(monkeypatch):
     (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
     (0.25, 2.0, 1025),
 ])
-def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n):
-    # the inputs of the test_apply_exact_falls_back_* tests, each on an
-    # instance whose weight split a successful call has already cached
+def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n, monkeypatch):
+    # the inputs of test_apply_exact_falls_back_to_apply, the growing one
+    # split into pieces, each on an instance whose weight split a successful
+    # call has already cached
+    forbid_apply(monkeypatch)
     grid = make_grid(0.0, 1.4, rho, n)
     w = build_weights(grid, alpha)
     rng = np.random.default_rng(n)
@@ -792,10 +839,7 @@ def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n):
     for kind, vals in inputs.items():
         fresh = build_weights(grid, alpha).apply_exact(vals)
         assert w.apply_exact(vals).tobytes() == fresh.tobytes(), kind
-        if kind == "growing":
-            assert fresh.tobytes() == w.apply(vals).tobytes(), kind
-        else:
-            assert_within_an_ulp(fresh, exact_node_sums(w, vals), kind)
+        assert_within_an_ulp(fresh, exact_node_sums(w, vals), kind)
     for weights in (build_weights(grid, alpha), w):
         with pytest.raises(ValueError, match="values must be finite"):
             weights.apply_exact(nan)

@@ -20,9 +20,13 @@ range (y0 1e307, and alpha 149.5 with an overflowing Taylor polynomial), and
 CSVs on 257 nodes: sin(3x), seeded standard-normal noise, that noise times
 1e-290, seeded signs times 1e300, and noise spread over e^-20..e^20.  The
 operator cases include ones of order 7, whose weights take more slices than
-the others, and ``operator integral noise.csv alpha 25``, whose weights take
-15, and the ml cases two negative arguments whose series cancel past its
-accuracy target.
+the others, ``operator integral noise.csv alpha 25``, whose weights take 15,
+and sums that take more than one piece of 25 slices: ``operator integral
+sin.csv alpha 60``, whose weights take 35, and ``operator integral
+spread.csv`` at alpha 0.5 and 60, on values +-(1 + k/257) 2^(-500..500)
+built without numpy ufuncs.  ``operator integral short.csv alpha 40`` sums
+on [0, 1e-8], where every weight underflows to 0.  The ml cases include two
+negative arguments whose series cancel past its accuracy target.
 
 Library: 144 problems (six right-hand sides x alpha 0.4, 0.8, 1.3, 1.9 x
 rho 0.5, 1, 2 x n 33, 257; y0 0.5, or (0.5, -0.25) above order 1; h_star 1,
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -142,6 +147,19 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
                          * np.exp(rng.uniform(-20.0, 20.0, CSV_NODES)))}
     for csv, (alpha, f) in ends.items():
         write_csv(work / csv, x, f)
+        commands.append((f"operator integral {csv} alpha {alpha}",
+                         ["operator", "integral", csv, "--alpha", alpha, "--rho", "1.0",
+                          "--a", "0"]))
+    # sums past one piece of 25 slices: order 60, whose weights take 35, and
+    # values spread over 2^-500..2^500, built in plain Python because numpy
+    # ufuncs may round differently on different CPUs; and order 40 on
+    # [0, 1e-8], whose weights all underflow to 0
+    spread = [math.ldexp((-1) ** k * (1 + k / CSV_NODES), round(-500 + 1000 * k / (CSV_NODES - 1)))
+              for k in range(CSV_NODES)]
+    write_csv(work / "spread.csv", x, np.array(spread))
+    (work / "short.csv").write_text("x,f\n0,1\n1e-8,1\n", encoding="utf-8")
+    for csv, alpha in (("sin.csv", "60"), ("spread.csv", "0.5"), ("spread.csv", "60"),
+                       ("short.csv", "40")):
         commands.append((f"operator integral {csv} alpha {alpha}",
                          ["operator", "integral", csv, "--alpha", alpha, "--rho", "1.0",
                           "--a", "0"]))
