@@ -52,9 +52,9 @@ _REFERENCE_MAX_DEPTH = 16
 # _MAX_SLICES is the most that holds at every n: beta = (45 - bitlen(6 n)) // 2
 # is at most 20 for every n >= 2 (n = 2 gives 20), so the deepest level of
 # one pair of pieces, L = 2 * 25 - 2, has scale 2**-(beta (L + 2)) >= 2**-1000,
-# which is normal; and a value that the 2**-e scaling leaves subnormal needs
-# more than 1022 / 20 > 25 slices, so the cap refuses it and a later piece
-# takes it
+# which is normal.  A piece is the whole rest only when its scaled entries
+# are multiples of 2**-(25 beta) >= 2**-500; a value that the 2**-e scaling
+# leaves subnormal is not, so it waits for a later piece
 _LEVEL_PAIRS = 6
 _MAX_SLICES = 25
 # _ramp_moments keeps its last _MOMENT_CACHE_SIZE tables of m_max at most
@@ -264,63 +264,45 @@ def _moment_table(alpha: float, m_max: int):
 _cached_moment_table = lru_cache(maxsize=_MOMENT_CACHE_SIZE)(_moment_table)
 
 
-def _int_slices(x: np.ndarray, beta: int, cap: int):
-    """Split x error-free into integer-valued slices of at most beta bits.
-
-    Returns (e, slices) with x == sum_k slices[k] * 2**(e - beta*(k+1))
-    exactly and |slices[k]| <= 2**beta, or None when that takes more than
-    ``cap`` slices; :func:`_int_pieces` then splits x in pieces.  The split
-    runs on x * 2**-e, whose largest magnitude lies in [1/2, 1), so every
-    splitting constant is normal whatever the range of x.  An entry that
-    the scale flushes to zero (only an e > 0 can) is refused here; one that
-    it rounds but keeps is subnormal, below 2**-1022, so its bits lie past
-    slice 1022 / beta, and a cap below that, as ``_MAX_SLICES`` is, refuses
-    it.  Slice k is the rest rounded to a multiple of 2**unit, unit =
-    -beta*(k+1), by adding and subtracting sigma = 1.5 * 2**(unit + 52),
-    whose ulp is 2**unit (Rump, Ogita & Oishi's ExtractScalar); the rest
-    stays exact.
-    """
-    e = math.frexp(float(np.max(np.abs(x))))[1]    # max |x| < 2**e
-    rest = np.ldexp(x, -e)
-    if e > 0 and np.count_nonzero(rest) != np.count_nonzero(x):
-        return None
-    slices = []
-    while np.any(rest):
-        if len(slices) == cap:
-            return None
-        unit = -beta * (len(slices) + 1)
-        sigma = 1.5 * 2.0 ** (unit + 52)
-        top = (rest + sigma) - sigma
-        rest = rest - top
-        slices.append(np.ldexp(top, -unit))
-    return e, slices
-
-
 def _int_pieces(x: np.ndarray, beta: int):
-    """Split x error-free into pieces of at most ``_MAX_SLICES`` slices of
-    :func:`_int_slices`: (units, slices) with x == sum_k slices[k] *
-    2**units[k] exactly, each piece's slices largest first; none for x = 0.
+    """Split x error-free into integer-valued slices of at most beta bits,
+    in pieces of at most ``_MAX_SLICES`` slices: yields (unit, slice) pairs
+    with x == sum slice * 2**unit exactly and |slice| <= 2**beta, each
+    piece's slices largest first, unit stepping down by beta; none for
+    x = 0.  A slice is yielded once and kept nowhere here.
 
-    A piece is the whole rest when it splits, and otherwise its entries
-    within ``_MAX_SLICES`` beta - 53 bits of its largest: every bit of
-    those lies within ``_MAX_SLICES`` slices of the piece's scale, so they
-    always split.  So x that splits is one piece, and the double range
-    takes at most about seven.
+    Each piece is chosen before it is sliced.  With e the exponent of the
+    rest's largest magnitude (max |rest| < 2**e), the piece is the whole
+    rest when scaling it by 2**-e round-trips and every scaled entry is a
+    multiple of 2**-(``_MAX_SLICES`` beta); otherwise it is the rest's
+    entries of at least 2**(e + 52 - ``_MAX_SLICES`` beta), whose bits all
+    lie within ``_MAX_SLICES`` slices of 2**e.  So x that fits one piece is
+    one piece, and the double range takes at most about seven.  The split
+    runs on piece * 2**-e, whose largest magnitude lies in [1/2, 1), so
+    every splitting constant is normal whatever the range of x.  Slice k is
+    the rest rounded to a multiple of 2**unit, unit = -beta*(k+1), by adding
+    and subtracting sigma = 1.5 * 2**(unit + 52), whose ulp is 2**unit
+    (Rump, Ogita & Oishi's ExtractScalar): the rest stays exact, a multiple
+    of what the piece test asks and at most half a unit, so it is 0 after
+    at most ``_MAX_SLICES`` slices.
     """
-    units, slices = [], []
     while np.any(x):
+        e = math.frexp(float(np.max(np.abs(x))))[1]    # max |x| < 2**e
+        rest = np.ldexp(x, -e)
+        deep = np.ldexp(rest, _MAX_SLICES * beta)
         piece = x
-        split = _int_slices(piece, beta, _MAX_SLICES)
-        if split is None:
-            e = math.frexp(float(np.max(np.abs(x))))[1]
+        if not (np.array_equal(np.ldexp(rest, e), x) and np.array_equal(deep, np.trunc(deep))):
             piece = np.where(np.abs(x) >= math.ldexp(1.0, e + 52 - _MAX_SLICES * beta),
                              x, 0.0)
-            split = _int_slices(piece, beta, _MAX_SLICES)
-        e, piece_slices = split
-        units += [e - beta * (k + 1) for k in range(len(piece_slices))]
-        slices += piece_slices
+            rest = np.ldexp(piece, -e)
         x = x - piece
-    return units, slices
+        unit = 0
+        while np.any(rest):
+            unit -= beta
+            sigma = 1.5 * 2.0 ** (unit + 52)
+            top = (rest + sigma) - sigma
+            rest = rest - top
+            yield e + unit, np.ldexp(top, -unit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,12 +323,14 @@ class QuadratureWeights:
     the life of the instance, with no key beyond the instance itself: the
     band's spectrum for :meth:`apply_fft` (16 n bytes at n = 2**k + 1), and
     for :meth:`apply_exact` the column-0 part of each weight slice and the
-    spectrum of its band part, in pieces of at most ``_MAX_SLICES`` slices:
-    about 98 KB a slice at n = 4097, so 2.5 MB for the one piece of order
-    26 and 3.9 MB for the two of order 40 (25 + 14 slices), and 390 KB a
-    slice at n = 16385.  They are the same arrays, from the same
-    arithmetic, that each call would compute, so every result keeps its
-    bytes.
+    spectrum of its band part, the slice itself not being kept.  The slices
+    come from :func:`_int_pieces`, in pieces of at most ``_MAX_SLICES``
+    slices, a piece being the whole rest when it fits one and otherwise the
+    rest's largest entries: about 98 KB a slice at n = 4097, so 2.5 MB for
+    the one piece of order 26 and 3.9 MB for the two of order 40 (25 + 14
+    slices), and 390 KB a slice at n = 16385.  They are the same arrays,
+    from the same arithmetic, that each call would compute, so every result
+    keeps its bytes.
     """
 
     alpha: float
@@ -392,19 +376,26 @@ class QuadratureWeights:
         """:meth:`apply_exact`'s slice width in bits."""
         return (45 - (_LEVEL_PAIRS * self.grid.n_nodes).bit_length()) // 2
 
+    def _split(self, x: np.ndarray, head: int):
+        """(units, heads, spectra) of x's slices from :func:`_int_pieces`:
+        of each slice, a copy of its first ``head`` entries and the spectrum
+        of the rest, all that a sum reads; the slice itself is dropped."""
+        units, heads, spectra = [], [], []
+        for unit, s in _int_pieces(x, self._beta):
+            units.append(unit)
+            heads.append(s[:head].copy())
+            spectra.append(np.fft.rfft(s[head:], self._fft_size))
+        return units, heads, spectra
+
     @cached_property
     def _weight_split(self):
-        """(units, heads, spectra): ``first`` and ``band`` split together by
-        :func:`_int_pieces`, and of each slice a copy of its column-0 part
-        and the spectrum of its band part.  Weights that are not finite
-        raise ``OverflowError`` naming the order."""
+        """:meth:`_split` of ``first`` and ``band`` together, heads being
+        column 0.  Weights that are not finite raise ``OverflowError``
+        naming the order."""
         weights = np.concatenate((self.first, self.band))
         if not np.all(np.isfinite(weights)):
             raise OverflowError(f"weights of order {self.alpha} are not finite")
-        units, slices = _int_pieces(weights, self._beta)
-        n = self.grid.n_nodes
-        return (units, [s[:n].copy() for s in slices],
-                [np.fft.rfft(s[n:], self._fft_size) for s in slices])
+        return self._split(weights, self.grid.n_nodes)
 
     def apply_exact(self, values: np.ndarray) -> np.ndarray:
         """The library's history sum W v in O(n log n), each node within
@@ -414,9 +405,13 @@ class QuadratureWeights:
 
         The weights and the values are split error-free into integer slices
         of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012),
-        in pieces of at most ``_MAX_SLICES`` (25) slices (:func:`_int_pieces`);
-        column 0 is split with the band.  A level collects the slice pairs of
-        one scale, p + q = s within one pair of pieces, in chunks of at most
+        in pieces of at most ``_MAX_SLICES`` (25) slices (:func:`_int_pieces`):
+        the whole rest when it fits one piece, and otherwise the rest's
+        entries within 25 beta - 53 bits of its largest.  Column 0 is split
+        with the band.  Of each value slice only its head (node 0) and the
+        spectrum of the rest are kept, so no value slice lives through the
+        level loop.  A level collects the slice pairs of one scale,
+        p + q = s within one pair of pieces, in chunks of at most
         ``_LEVEL_PAIRS`` (6) pairs, one inverse FFT each; beta keeps every
         chunk's integer sum below 2**45 (``_LEVEL_PAIRS`` * n * 2**(2 beta)),
         so the FFT convolutions, at :meth:`apply_fft`'s length, round back to
@@ -453,9 +448,8 @@ class QuadratureWeights:
             return np.zeros(n)
         beta = self._beta
         w_units, w_heads, w_spectra = self._weight_split
-        v_units, v_slices = _int_pieces(vals, beta)
+        v_units, v_heads, v_spectra = self._split(vals, 1)
         size = self._fft_size
-        v_spectra = [np.fft.rfft(s[1:], size) for s in v_slices]
         levels = {}
         for p, w_unit in enumerate(w_units):
             for q, v_unit in enumerate(v_units):
@@ -463,7 +457,7 @@ class QuadratureWeights:
         acc, comp, scale = np.zeros(n), np.zeros(n), 0
         for level, unit in enumerate(sorted(levels, reverse=True)):
             pairs = levels[unit]
-            total = sum(w_heads[p] * v_slices[q][0] for p, q in pairs)
+            total = sum(w_heads[p] * v_heads[q] for p, q in pairs)
             for c in range(0, len(pairs), _LEVEL_PAIRS):
                 chunk = pairs[c:c + _LEVEL_PAIRS]
                 conv = np.fft.irfft(sum(w_spectra[p] * v_spectra[q] for p, q in chunk),

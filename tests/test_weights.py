@@ -422,7 +422,7 @@ def test_apply_exact_sums_wide_weights_and_wide_values(monkeypatch):
     rng = np.random.default_rng(n)
     vals = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
     kw = len(w._weight_split[1])
-    kv = len(fracops._int_slices(vals, w._beta, fracops._MAX_SLICES)[1])
+    kv = len(list(fracops._int_pieces(vals, w._beta)))
     assert min(kw, kv) > fracops._LEVEL_PAIRS
     forbid_apply(monkeypatch)
     irfft = np.fft.irfft
@@ -464,6 +464,74 @@ def test_apply_exact_sums_an_entry_the_scale_would_flush_in_a_second_piece(monke
     forbid_apply(monkeypatch)
     got = w.apply_exact(vals)
     assert_within_an_ulp(got, exact_node_sums(w, vals), "flush")
+
+
+def rule_pieces(x: np.ndarray, beta: int) -> list:
+    """(e, slice count, entries) of each piece of x by the splitter's rule,
+    in exact rationals.  With max |rest| < 2**e, the piece is the whole rest
+    when every entry is a multiple of 2**(e - 25 beta), and otherwise its
+    entries of at least 2**(e + 52 - 25 beta); it takes as many slices as
+    its finest scaled entry, a/2**m in lowest terms, needs: ceil(m / beta)."""
+    rest = [Fraction(v) for v in x.tolist()]
+    pieces = []
+    while any(rest):
+        e = math.frexp(float(max(abs(v) for v in rest)))[1]
+        fine = Fraction(2) ** (e - fracops._MAX_SLICES * beta)
+        piece = rest
+        if any((v / fine).denominator != 1 for v in rest):
+            piece = [v if abs(v) >= fine * 2 ** 52 else Fraction(0) for v in rest]
+        bits = [(v / Fraction(2) ** e).denominator.bit_length() - 1 for v in piece if v]
+        pieces.append((e, max(-(-m // beta) for m in bits), piece))
+        rest = [r - v for r, v in zip(rest, piece)]
+    return pieces
+
+
+def assert_split_by_the_rule(x: np.ndarray, beta: int) -> None:
+    """x's (unit, slice) pairs are integer slices of at most beta bits,
+    piece by piece as :func:`rule_pieces` sets them out: at most 25 slices
+    a piece, units stepping down by beta from 2**e, summing to its entries."""
+    got = list(fracops._int_pieces(x, beta))
+    for _, s in got:
+        assert np.array_equal(s, np.trunc(s)) and np.all(np.abs(s) <= 2.0 ** beta)
+    first = 0
+    for e, count, entries in rule_pieces(x, beta):
+        assert count <= fracops._MAX_SLICES
+        piece = got[first:first + count]
+        first += count
+        assert [u for u, _ in piece] == [e - beta * k for k in range(1, count + 1)]
+        for i, v in enumerate(entries):
+            assert sum(Fraction(float(s[i])) * Fraction(2) ** u for u, s in piece) == v, i
+    assert first == len(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                  max_size=40).map(np.array),
+       beta=st.integers(14, 20))
+@example(x=np.zeros(3), beta=14)
+@example(x=np.array([5e-324, 0.0, -5e-324]), beta=20)
+@example(x=np.array([1.7e308, -1.7e308, 0.0]), beta=14)
+@example(x=np.array([1.7e308, 5e-324, -1.0, 0.0, -1.7e308]), beta=17)
+# 25 slices for the two entries at and above 2**(e + 52 - 25 beta), e = 0,
+# and a second piece for the one just below
+@example(x=np.array([0.75, math.ldexp(1 + 2**-52, -298), math.ldexp(1 + 2**-52, -299)]),
+         beta=14)
+def test_int_pieces_split_any_finite_input_exactly_by_the_piece_rule(x, beta):
+    # the pieces partition x, so x is their exact sum.  An input whose
+    # entries round-trip the 2**-e scaling and are multiples of
+    # 2**(e - 25 beta) is one piece, as a split of the whole would give; x
+    # rounded to such multiples is one, with the same largest entry and e
+    assert_split_by_the_rule(x, beta)
+    if not np.any(x):
+        return
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    deep = fracops._MAX_SLICES * beta
+    whole = np.ldexp(np.rint(np.ldexp(x, deep - e)), e - deep)
+    rest = np.ldexp(whole, -e)
+    assert np.array_equal(np.ldexp(rest, e), whole)
+    assert np.array_equal(np.ldexp(rest, deep), np.trunc(np.ldexp(rest, deep)))
+    assert len(rule_pieces(whole, beta)) == 1
+    assert_split_by_the_rule(whole, beta)
 
 
 @pytest.mark.parametrize("alpha,rho,n", [
@@ -783,14 +851,14 @@ def test_apply_exact_splits_the_weights_once(monkeypatch):
     rng = np.random.default_rng(5)
     vals = [rng.standard_normal(1025) for _ in range(3)]
     want = [build_weights(w.grid, 0.8).apply_exact(v).tobytes() for v in vals]
-    split = fracops._int_slices
+    split = fracops._int_pieces
     sizes = []
 
-    def counted(x, beta, cap):
+    def counted(x, beta):
         sizes.append(x.size)
-        return split(x, beta, cap)
+        return split(x, beta)
 
-    monkeypatch.setattr(fracops, "_int_slices", counted)
+    monkeypatch.setattr(fracops, "_int_pieces", counted)
     for v, expect in zip(vals, want):
         assert w.apply_exact(v).tobytes() == expect
     # the weights (first and band, 2n - 1 entries) once, then the values

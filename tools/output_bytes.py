@@ -18,7 +18,8 @@ are a problem file for every rhs at an order below 1 and one between 1 and
 stop needs the tol scaled with the solution, two at the ends of the solver's
 range (y0 1e307, and alpha 149.5 with an overflowing Taylor polynomial), and
 CSVs on 257 nodes: sin(3x), seeded standard-normal noise, that noise times
-1e-290, seeded signs times 1e300, and noise spread over e^-20..e^20.  The
+1e-290, seeded signs times 1e300, and noise spread over e^-20..e^20 (by
+``math.exp`` per value, not numpy's SIMD-dispatched ``np.exp``).  The
 operator cases include ones of order 7, whose weights take more slices than
 the others, ``operator integral noise.csv alpha 25``, whose weights take 15,
 and sums that take more than one piece of 25 slices: ``operator integral
@@ -139,12 +140,14 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
                       "--a", "0"]))
     # the ends of the exact sum's range: the noise scaled near the underflow
     # and the overflow thresholds, and order 7 on data spread over e^+-20,
-    # where the weights and the values both take more than 6 slices
+    # where the weights and the values both take more than 6 slices; its
+    # spread takes math.exp per value, since numpy picks its exp kernel by
+    # the CPU's SIMD level
     rng = np.random.default_rng(19)
     ends = {"tiny.csv": ("0.5", data["noise.csv"][0] * 1e-290),
             "huge.csv": ("0.5", np.where(rng.random(CSV_NODES) < 0.5, -1e300, 1e300)),
             "wide.csv": ("7.0", rng.standard_normal(CSV_NODES)
-                         * np.exp(rng.uniform(-20.0, 20.0, CSV_NODES)))}
+                         * np.array([math.exp(u) for u in rng.uniform(-20.0, 20.0, CSV_NODES)]))}
     for csv, (alpha, f) in ends.items():
         write_csv(work / csv, x, f)
         commands.append((f"operator integral {csv} alpha {alpha}",
