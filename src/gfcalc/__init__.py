@@ -3,17 +3,21 @@ power-law kernel scale parameter rho (rho = 1 is classical Riemann-Liouville,
 rho -> 0 with a > 0 the logarithmic-kernel limit).
 
 Names load on first use (PEP 562), so ``import gfcalc`` imports neither
-numpy nor a submodule.  A ``specialfn`` name loads ``specialfn`` alone; any
-other name, any submodule and ``__all__`` load the numeric modules too.
+numpy nor a submodule.  A submodule, as in ``from gfcalc import cli``, loads
+that submodule alone, and a ``specialfn`` name loads ``specialfn`` alone;
+any other name and ``__all__`` load the numeric modules too.
 """
 
 import importlib
+import importlib.util
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
     # importlib, not ``from . import``, which would call back in here
+    if name.isidentifier() and importlib.util.find_spec(f"{__name__}.{name}"):
+        return importlib.import_module(f".{name}", __name__)
     specialfn = importlib.import_module(".specialfn", __name__)
     if name in specialfn.__all__:
         return getattr(specialfn, name)

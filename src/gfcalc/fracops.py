@@ -46,6 +46,13 @@ __all__ = [
 
 _REFERENCE_TOL = 1e-10     # gfi_reference and the study oracle, by default
 _REFERENCE_MAX_DEPTH = 16
+# gfi_reference sums each mesh level in blocks of _ABEL_BLOCK cells, so its
+# per-cell temporaries take 32 KB each, whatever the level: small enough to
+# stay in a core's cache and to leave the level's own arrays the only ones
+# of its length, large enough that numpy's few dozen calls per block cost
+# little against their elementwise work.  Levels up to 4096 cells are one
+# block
+_ABEL_BLOCK = 4096
 # apply_exact splits the weights and the values into pieces of at most
 # _MAX_SLICES slices each, and a level sums its slice pairs in chunks of at
 # most _LEVEL_PAIRS pairs, one inverse FFT each, so that cap alone sets beta.
@@ -630,36 +637,73 @@ def taylor_poly(y0, x):
 # at a time; never used to solve)
 # ---------------------------------------------------------------------------
 
-def _graded_abel_sum(g_vals: np.ndarray, u: np.ndarray, dsig: np.ndarray,
-                     alpha: float) -> float:
-    """int_0^{s_end} (s_end - sigma)**(alpha-1) g(sigma) dsigma for the
-    piecewise-linear interpolant of g on the mesh described by u (distance
-    to the singular endpoint, decreasing to u[-1] = 0) and cell widths dsig.
+def _cell_power(b_dist: np.ndarray, r: np.ndarray, c: float) -> np.ndarray:
+    """b**c (1 - (a/b)**c) / c on a block of cells, r = log(a/b): a new
+    array, the power difference computed through expm1 so that narrow
+    cells far from the endpoint do not cancel."""
+    d = np.multiply(c, r)
+    np.expm1(d, out=d)
+    np.negative(d, out=d)
+    d *= np.power(b_dist, c)
+    d /= c
+    return d
 
-    Every cell integrates the exact kernel against the linear interpolant;
-    the power differences use expm1 so narrow cells far from the endpoint
-    do not cancel.
+
+def _cell_coefficients(far: np.ndarray, near: np.ndarray, g_vals: np.ndarray,
+                       s_end: float, n_cells: int, lo: int, alpha: float) -> None:
+    """Fill ``far`` and ``near`` with the products of g and its coefficients
+    at the far and near edges of cells lo, lo + 1, ... of the graded mesh,
+    ``g_vals`` holding g at their nodes; every cell integrates the exact
+    kernel against the linear interpolant.  All other arrays are of the
+    block's length and die with the call."""
+    u, w = _graded_block(s_end, n_cells, lo, lo + far.size)
+    b_dist = u[:-1]                 # cell far edge,  > 0
+    a_dist = u[1:]                  # cell near edge, > 0
+    r = np.divide(a_dist, b_dist)
+    np.log(r, out=r)
+    d1 = _cell_power(b_dist, r, alpha)
+    d2 = _cell_power(b_dist, r, alpha + 1.0)
+    # (d2 - a d1) / w and (b d1 - d2) / w, then the products with g
+    np.multiply(a_dist, d1, out=far)
+    np.subtract(d2, far, out=far)
+    far /= w
+    far *= g_vals[:-1]
+    np.multiply(b_dist, d1, out=near)
+    np.subtract(near, d2, out=near)
+    near /= w
+    near *= g_vals[1:]
+
+
+def _graded_abel_sum(g_vals: np.ndarray, s_end: float, alpha: float) -> float:
+    """int_0^{s_end} (s_end - sigma)**(alpha-1) g(sigma) dsigma for the
+    piecewise-linear interpolant of g on the graded mesh of
+    ``g_vals.size - 1`` cells (:func:`_graded_block`), ``g_vals[i]`` being
+    g at node i.
+
+    The cells are taken ``_ABEL_BLOCK`` at a time: the two coefficient
+    arrays are filled in place block by block, and each is summed whole by
+    numpy's pairwise ``np.sum``, an order fixed by numpy, not by the BLAS
+    build or thread count.  Elementwise ufuncs give the same bits whatever
+    the block boundaries, so the result is the one a whole-level
+    computation gives.
     """
-    b_dist = u[:-2]                 # cell far edge,  > 0
-    a_dist = u[1:-1]                # cell near edge, > 0 except last cell
-    w = dsig[:-1]
-    r = np.log(a_dist / b_dist)
-    d1 = np.power(b_dist, alpha) * (-np.expm1(alpha * r)) / alpha
-    d2 = (np.power(b_dist, alpha + 1.0)
-          * (-np.expm1((alpha + 1.0) * r)) / (alpha + 1.0))
-    coeff_far = (d2 - a_dist * d1) / w       # multiplies g at the far edge
-    coeff_near = (b_dist * d1 - d2) / w      # multiplies g at the near edge
-    # products in place, then numpy's pairwise sum: an order fixed by numpy,
-    # not by the BLAS build or thread count, and no further temporaries
-    coeff_far *= g_vals[:-2]
-    coeff_near *= g_vals[1:-1]
+    n_cells = g_vals.size - 1
+    n_open = n_cells - 1                # every cell but the closing one
+    coeff_far = np.empty(n_open)
+    coeff_near = np.empty(n_open)
+    for lo in range(0, n_open, _ABEL_BLOCK):
+        hi = min(lo + _ABEL_BLOCK, n_open)
+        _cell_coefficients(coeff_far[lo:hi], coeff_near[lo:hi], g_vals[lo:hi + 1],
+                           s_end, n_cells, lo, alpha)
     total = float(np.sum(coeff_far) + np.sum(coeff_near))
-    # closing cell touches the singularity: closed form with a_dist = 0
-    b_last = u[-2]
+    # closing cell touches the singularity: closed form with a_dist = 0, its
+    # far edge node n_open, at the distance the blocks give it
+    t = n_open / n_cells
+    b_last = np.float64(_node_dist(s_end, t, 1.0 - t))
     total += b_last**alpha * (g_vals[-1] / (alpha * (alpha + 1.0))
                               + g_vals[-2] / (alpha + 1.0))
     if not math.isfinite(total):
-        raise ValueError(f"integrand gives a non-finite sum on {dsig.size} cells")
+        raise ValueError(f"integrand gives a non-finite sum on {n_cells} cells")
     return total
 
 
@@ -669,24 +713,73 @@ def _width_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 3.0 * (x + y) - 2.0 * (x * x + x * y + y * y)
 
 
-def _graded_mesh(s_end: float, n_cells: int):
-    """Mesh over [0, s_end] with quadratic clustering at both endpoints.
+def _node_dist(s_end: float, t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """s_end p**2 (1 + 2t), p = 1 - t: the distance of the graded mesh's
+    node at t to the singular endpoint, exact at both ends."""
+    return s_end * p * p * (1.0 + 2.0 * t)
+
+
+def _graded_nodes(s_end: float, n_cells: int, first: int, step: int) -> np.ndarray:
+    """The positions s_end - u of the graded mesh's nodes first,
+    first + step, ... up to n_cells."""
+    t = np.arange(first, n_cells + 1, step) / n_cells
+    return s_end - _node_dist(s_end, t, 1.0 - t)
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """A new array with ``even`` at the even indices and ``odd`` at the odd."""
+    out = np.empty(even.size + odd.size)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
+def _graded_block(s_end: float, n_cells: int, lo: int, hi: int):
+    """Nodes lo..hi of the mesh of n_cells cells over [0, s_end] with
+    quadratic clustering at both endpoints.
 
     Returns (u, dsig): the stable distances of the nodes to the singular
-    endpoint, so node i sits at s_end - u[i] (exactly 0 for i = 0), and the
-    cell widths.  t**2 (3 - 2t) grading keeps the product rule second-order
-    accurate even when the integrand's derivative blows up at either end.
+    endpoint, so node i sits at s_end - u[i - lo] (exactly 0 for i = 0),
+    and the widths of the hi - lo cells between them.  t**2 (3 - 2t)
+    grading keeps the product rule second-order accurate even when the
+    integrand's derivative blows up at either end.  Each entry is an
+    elementwise expression in t = i / n_cells alone, so a block holds the
+    bits of the same nodes of the whole level.
     """
-    t = np.arange(n_cells + 1) / n_cells
+    t = np.arange(lo, hi + 1) / n_cells
     p = 1.0 - t
-    u = s_end * p * p * (1.0 + 2.0 * t)          # exact at both ends
     # t < 0.5 exactly on the first half of the cells, since n_cells is even
-    half = n_cells // 2
-    dsig = np.empty(n_cells)
-    dsig[:half] = _width_bracket(t[:half], t[1:half + 1])
-    dsig[half:] = _width_bracket(p[half:-1], p[half + 1:])
+    first = min(max(n_cells // 2 - lo, 0), hi - lo)
+    dsig = np.empty(hi - lo)
+    dsig[:first] = _width_bracket(t[:first], t[1:first + 1])
+    dsig[first:] = _width_bracket(p[first:-1], p[first + 1:])
     dsig *= s_end / n_cells
-    return u, dsig
+    return _node_dist(s_end, t, p), dsig
+
+
+def _length_exponent(s_end: float, alpha: float) -> int:
+    """0 when every cell intermediate of the reference sum on [0, s_end],
+    up to s_end**(alpha + 1), lies well inside the normal range, and
+    otherwise the k with s_end 2**-k in [1/2, 1), where they all do.
+
+    The test is on s_end**(alpha + 1), which lies farther from 1 than
+    s_end**alpha and s_end, with 64 bits to spare at each end of the
+    exponent range for the mesh's own factors (cell widths down to about
+    s_end 2**-42 at the default depth, and 1/alpha)."""
+    if -958 <= (alpha + 1.0) * math.log2(s_end) <= 960:
+        return 0
+    return math.frexp(s_end)[1]
+
+
+def _times_pow2(v: float, p: float) -> float:
+    """v 2**p for a real p, rounded once in the normal range; a product past
+    the double range is the infinity of v's sign."""
+    m, e = math.frexp(v)
+    whole = math.floor(p)
+    try:
+        return math.ldexp(m * 2.0 ** (p - whole), e + whole)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
@@ -699,26 +792,48 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
     two successive refinements differ by less than tol; the returned value
     carries the last h**2 extrapolation.  Node values are reused across
     refinements (dyadic meshes), so g is called on the 65 starting nodes and
-    then once per doubling on that level's new nodes, ``s_end - u[1::2]``.
-    A level without one value per node is refused, and so is a non-finite
-    one: its nodes stay in every later level.
+    then once per doubling on that level's new nodes, the odd ones, before
+    the level's array of node values is assembled.  A level without one
+    value per node is refused, and so is a non-finite one: its nodes stay
+    in every later level.
+
+    Working memory per level is about three arrays of the level's length
+    (its node values and :func:`_graded_abel_sum`'s two coefficient arrays)
+    plus fixed blocks of ``_ABEL_BLOCK`` cells, besides what g itself
+    allocates.
+
+    When the cell intermediates, up to s_end**(alpha + 1), would leave the
+    normal range, the mesh runs over s_end 2**-k in [1/2, 1) instead
+    (:func:`_length_exponent`): the integral is 2**(k alpha) times the same
+    one of g(2**k tau) over [0, s_end 2**-k].  g sees the nodes mapped back
+    by ``ldexp``, exact wherever they are normal, the level differences are
+    compared with tol 2**(-k alpha), and the value is scaled back once.  A
+    value past the double range raises ``OverflowError``.  Everywhere else
+    k is 0 and nothing is scaled.
     """
     if s_end == 0.0:
         return 0.0
+    k = _length_exponent(s_end, alpha)
+    level = (lambda tau: g(np.ldexp(tau, k))) if k else g
+    s_run, tol_run = math.ldexp(s_end, -k), _times_pow2(tol, -k * alpha)
     n_cells = 64
-    u, dsig = _graded_mesh(s_end, n_cells)
-    g_vals = _node_values(g(s_end - u), n_cells + 1)
-    prev = _graded_abel_sum(g_vals, u, dsig, alpha)
+    g_vals = _node_values(level(_graded_nodes(s_run, n_cells, 0, 1)), n_cells + 1)
+    prev = _graded_abel_sum(g_vals, s_run, alpha)
     for _ in range(max_depth):
         n_cells *= 2
-        u, dsig = _graded_mesh(s_end, n_cells)
-        new_vals = np.empty(n_cells + 1)
-        new_vals[0::2] = g_vals
-        new_vals[1::2] = _node_values(g(s_end - u[1::2]), n_cells // 2)
-        g_vals = new_vals
-        cur = _graded_abel_sum(g_vals, u, dsig, alpha)
-        if abs(cur - prev) < tol:
-            return cur + (cur - prev) / 3.0
+        # the new nodes' values first, then the level's array: neither g's
+        # output nor the coarser level outlives the assembly
+        g_vals = _interleave(
+            g_vals, _node_values(level(_graded_nodes(s_run, n_cells, 1, 2)), n_cells // 2))
+        cur = _graded_abel_sum(g_vals, s_run, alpha)
+        if abs(cur - prev) < tol_run:
+            value = cur + (cur - prev) / 3.0
+            if k:
+                value = _times_pow2(value, k * alpha)
+                if not math.isfinite(value):
+                    raise OverflowError(
+                        f"integral over [0, {s_end}] is past the double range")
+            return value
         prev = cur
     raise RefinementError(
         f"no convergence to tol = {tol} within {max_depth} mesh doublings "
@@ -739,6 +854,13 @@ def gfi_reference(f: Callable[[np.ndarray], np.ndarray], x: float,
     in its numpy form (``np.sin``) or wrapped, e.g. by ``np.vectorize``.
     Slow but self-validating; intended for verification (tests, study
     diagnostics), not for production solves.
+
+    Working memory per mesh level is about three arrays of the level's
+    length plus fixed blocks, besides what ``f`` allocates; a transformed
+    length s = (x**rho - a**rho)/rho whose cell intermediates would leave
+    the normal range is summed as s 2**-k (:func:`_abel_mesh`).  An s that
+    is not finite, or that underflows to 0 while x > a, is refused with
+    ``ValueError``.
     """
     _check_finite("alpha", alpha)
     _check_finite("rho", rho)
@@ -752,7 +874,7 @@ def gfi_reference(f: Callable[[np.ndarray], np.ndarray], x: float,
     gam = _gamma(alpha)
     with np.errstate(all="ignore"):
         s_end = float(_s_from_x(x, a, rho))
-    if not math.isfinite(s_end):
+    if not math.isfinite(s_end) or (s_end == 0.0 and x > a):
         raise ValueError(f"transformed length (x**rho - a**rho)/rho = {s_end} unusable")
     return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol,
                       max_depth) / gam

@@ -232,7 +232,7 @@ def test_field_without_a_parser_fails_at_import():
         from gfcalc import solver
         solver.SolverConfig = dataclasses.make_dataclass(
             "SolverConfig", [("shift", "complex", dataclasses.field(default=0j))])
-        del sys.modules["gfcalc.problemfile"]
+        sys.modules.pop("gfcalc.problemfile", None)     # not loaded by solver alone
         try:
             importlib.import_module("gfcalc.problemfile")
         except KeyError as exc:

@@ -1022,6 +1022,31 @@ def test_oracle_residual_calls_rhs_once_per_level(monkeypatch):
     assert 4 <= calls <= 4 * 17
 
 
+def test_oracle_residual_memory_is_bounded(monkeypatch):
+    # the deepest mesh level of this oracle has 65,536 cells; the level's
+    # node values, the two coefficient arrays of its sum and the rhs call's
+    # arrays stay under 5 arrays of its 65,537 doubles
+    new_nodes = []
+    fn = RightHandSide.fn
+
+    def recorded(self, x, y, problem):
+        new_nodes.append(np.size(x))
+        return fn(self, x, y, problem)
+
+    p = problem(alpha=0.33, rho=0.5, y0=(0.53,), params={"lambda": -0.64},
+                h_star=0.0263, K=0.52)
+    y, _ = solve_picard(p, SolverConfig(n_nodes=257, tol=1e-12))
+    monkeypatch.setattr(RightHandSide, "fn", recorded)
+    tracemalloc.start()
+    try:
+        oracle_residual(y, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(new_nodes) == 65536 // 2
+    assert peak < 5 * 8 * 65537
+
+
 def test_oracle_residual_refuses_non_finite_rhs_at_first_level(monkeypatch):
     # f = c Gamma(1.3)/Gamma(0.8) s**-0.2 is infinite at x = 0, a node of the
     # first mesh level; the refusal comes before any doubling

@@ -30,6 +30,19 @@ def test_import_loads_no_numpy_and_no_submodule():
     assert loaded == "[]\n"
 
 
+def test_from_import_of_a_submodule_loads_that_submodule_alone():
+    def loaded(name):
+        return python(f"""\
+            import sys
+            from gfcalc import {name}
+            print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("gfcalc.")))
+            """)
+
+    assert loaded("cli") == "['gfcalc.cli', 'gfcalc.specialfn']\n"
+    assert loaded("specialfn") == "['gfcalc.specialfn']\n"
+    assert loaded("fracops") == "['gfcalc.fracops', 'gfcalc.specialfn', 'numpy']\n"
+
+
 # run each argv through cli.main and print [exit code, stdout, stderr] per run
 MAIN_RUNS = """\
     import contextlib, io, json, sys
