@@ -59,9 +59,7 @@ _ABEL_BLOCK = 4096
 # _MAX_SLICES is the most that holds at every n: beta = (45 - bitlen(6 n)) // 2
 # is at most 20 for every n >= 2 (n = 2 gives 20), so the deepest level of
 # one pair of pieces, L = 2 * 25 - 2, has scale 2**-(beta (L + 2)) >= 2**-1000,
-# which is normal.  A piece is the whole rest only when its scaled entries
-# are multiples of 2**-(25 beta) >= 2**-500; a value that the 2**-e scaling
-# leaves subnormal is not, so it waits for a later piece
+# which is normal
 _LEVEL_PAIRS = 6
 _MAX_SLICES = 25
 # _ramp_moments keeps its last _MOMENT_CACHE_SIZE tables of m_max at most
@@ -278,30 +276,23 @@ def _int_pieces(x: np.ndarray, beta: int):
     piece's slices largest first, unit stepping down by beta; none for
     x = 0.  A slice is yielded once and kept nowhere here.
 
-    Each piece is chosen before it is sliced.  With e the exponent of the
-    rest's largest magnitude (max |rest| < 2**e), the piece is the whole
-    rest when scaling it by 2**-e round-trips and every scaled entry is a
-    multiple of 2**-(``_MAX_SLICES`` beta); otherwise it is the rest's
-    entries of at least 2**(e + 52 - ``_MAX_SLICES`` beta), whose bits all
-    lie within ``_MAX_SLICES`` slices of 2**e.  So x that fits one piece is
-    one piece, and the double range takes at most about seven.  The split
-    runs on piece * 2**-e, whose largest magnitude lies in [1/2, 1), so
-    every splitting constant is normal whatever the range of x.  Slice k is
-    the rest rounded to a multiple of 2**unit, unit = -beta*(k+1), by adding
+    Each piece is chosen before it is sliced, by one rule: with e the
+    exponent of the rest's largest magnitude (max |rest| < 2**e), it is the
+    rest's entries of at least 2**(e + 52 - ``_MAX_SLICES`` beta), whose
+    bits all lie within ``_MAX_SLICES`` slices of 2**e, so the double range
+    takes at most about seven.  The split runs on piece * 2**-e, exact for
+    every such entry, whose largest magnitude lies in [1/2, 1), so every
+    splitting constant is normal whatever the range of x.  Slice k is the
+    rest rounded to a multiple of 2**unit, unit = -beta*(k+1), by adding
     and subtracting sigma = 1.5 * 2**(unit + 52), whose ulp is 2**unit
     (Rump, Ogita & Oishi's ExtractScalar): the rest stays exact, a multiple
-    of what the piece test asks and at most half a unit, so it is 0 after
+    of 2**-(``_MAX_SLICES`` beta) and at most half a unit, so it is 0 after
     at most ``_MAX_SLICES`` slices.
     """
     while np.any(x):
         e = math.frexp(float(np.max(np.abs(x))))[1]    # max |x| < 2**e
-        rest = np.ldexp(x, -e)
-        deep = np.ldexp(rest, _MAX_SLICES * beta)
-        piece = x
-        if not (np.array_equal(np.ldexp(rest, e), x) and np.array_equal(deep, np.trunc(deep))):
-            piece = np.where(np.abs(x) >= math.ldexp(1.0, e + 52 - _MAX_SLICES * beta),
-                             x, 0.0)
-            rest = np.ldexp(piece, -e)
+        piece = np.where(np.abs(x) >= math.ldexp(1.0, e + 52 - _MAX_SLICES * beta), x, 0.0)
+        rest = np.ldexp(piece, -e)
         x = x - piece
         unit = 0
         while np.any(rest):
@@ -332,12 +323,12 @@ class QuadratureWeights:
     for :meth:`apply_exact` the column-0 part of each weight slice and the
     spectrum of its band part, the slice itself not being kept.  The slices
     come from :func:`_int_pieces`, in pieces of at most ``_MAX_SLICES``
-    slices, a piece being the whole rest when it fits one and otherwise the
-    rest's largest entries: about 98 KB a slice at n = 4097, so 2.5 MB for
-    the one piece of order 26 and 3.9 MB for the two of order 40 (25 + 14
-    slices), and 390 KB a slice at n = 16385.  They are the same arrays,
-    from the same arithmetic, that each call would compute, so every result
-    keeps its bytes.
+    slices, each piece the rest's entries within that many slices of its
+    largest: about 98 KB a slice at n = 4097, so 2.5 MB for the one piece
+    of order 26 and 3.9 MB for the two of order 40 (25 + 14 slices), and
+    390 KB a slice at n = 16385.  They are the same arrays, from the same
+    arithmetic, that each call would compute, so every result keeps its
+    bytes.
     """
 
     alpha: float
@@ -412,14 +403,13 @@ class QuadratureWeights:
 
         The weights and the values are split error-free into integer slices
         of beta bits (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012),
-        in pieces of at most ``_MAX_SLICES`` (25) slices (:func:`_int_pieces`):
-        the whole rest when it fits one piece, and otherwise the rest's
-        entries within 25 beta - 53 bits of its largest.  Column 0 is split
-        with the band.  Of each value slice only its head (node 0) and the
-        spectrum of the rest are kept, so no value slice lives through the
-        level loop.  A level collects the slice pairs of one scale,
-        p + q = s within one pair of pieces, in chunks of at most
-        ``_LEVEL_PAIRS`` (6) pairs, one inverse FFT each; beta keeps every
+        in pieces of at most ``_MAX_SLICES`` (25) slices (:func:`_int_pieces`),
+        each piece the rest's entries within 25 beta - 53 bits of its
+        largest.  Column 0 is split with the band.  Of each value slice only
+        its head (node 0) and the spectrum of the rest are kept, so no value
+        slice lives through the level loop.  A level collects the slice
+        pairs of one scale, p + q = s within one pair of pieces, in chunks of
+        at most ``_LEVEL_PAIRS`` (6) pairs, one inverse FFT each; beta keeps every
         chunk's integer sum below 2**45 (``_LEVEL_PAIRS`` * n * 2**(2 beta)),
         so the FFT convolutions, at :meth:`apply_fft`'s length, round back to
         exact integers; beta is 17 at n = 257, 16 at 1025, 15 at 4097 and 14
@@ -757,20 +747,6 @@ def _graded_block(s_end: float, n_cells: int, lo: int, hi: int):
     return _node_dist(s_end, t, p), dsig
 
 
-def _length_exponent(s_end: float, alpha: float) -> int:
-    """0 when every cell intermediate of the reference sum on [0, s_end],
-    up to s_end**(alpha + 1), lies well inside the normal range, and
-    otherwise the k with s_end 2**-k in [1/2, 1), where they all do.
-
-    The test is on s_end**(alpha + 1), which lies farther from 1 than
-    s_end**alpha and s_end, with 64 bits to spare at each end of the
-    exponent range for the mesh's own factors (cell widths down to about
-    s_end 2**-42 at the default depth, and 1/alpha)."""
-    if -958 <= (alpha + 1.0) * math.log2(s_end) <= 960:
-        return 0
-    return math.frexp(s_end)[1]
-
-
 def _times_pow2(v: float, p: float) -> float:
     """v 2**p for a real p, rounded once in the normal range; a product past
     the double range is the infinity of v's sign."""
@@ -802,37 +778,32 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
     plus fixed blocks of ``_ABEL_BLOCK`` cells, besides what g itself
     allocates.
 
-    When the cell intermediates, up to s_end**(alpha + 1), would leave the
-    normal range, the mesh runs over s_end 2**-k in [1/2, 1) instead
-    (:func:`_length_exponent`): the integral is 2**(k alpha) times the same
-    one of g(2**k tau) over [0, s_end 2**-k].  g sees the nodes mapped back
-    by ``ldexp``, exact wherever they are normal, the level differences are
-    compared with tol 2**(-k alpha), and the value is scaled back once.  A
-    value past the double range raises ``OverflowError``.  Everywhere else
-    k is 0 and nothing is scaled.
+    Every length runs on s_end 2**-k in [1/2, 1), k from ``frexp``, so
+    every cell intermediate lies well inside the normal range: the integral
+    is 2**(k alpha) times the same one of g(2**k tau) over that length.  g
+    sees the nodes mapped back by ``ldexp``, exact wherever they are normal,
+    the level differences are compared with tol 2**(-k alpha), and the
+    value is scaled back once, as a float.  A value past the double range
+    raises ``OverflowError``.
     """
     if s_end == 0.0:
         return 0.0
-    k = _length_exponent(s_end, alpha)
-    level = (lambda tau: g(np.ldexp(tau, k))) if k else g
+    k = math.frexp(s_end)[1]
     s_run, tol_run = math.ldexp(s_end, -k), _times_pow2(tol, -k * alpha)
     n_cells = 64
-    g_vals = _node_values(level(_graded_nodes(s_run, n_cells, 0, 1)), n_cells + 1)
+    g_vals = _node_values(g(np.ldexp(_graded_nodes(s_run, n_cells, 0, 1), k)), n_cells + 1)
     prev = _graded_abel_sum(g_vals, s_run, alpha)
     for _ in range(max_depth):
         n_cells *= 2
         # the new nodes' values first, then the level's array: neither g's
         # output nor the coarser level outlives the assembly
-        g_vals = _interleave(
-            g_vals, _node_values(level(_graded_nodes(s_run, n_cells, 1, 2)), n_cells // 2))
+        g_vals = _interleave(g_vals, _node_values(
+            g(np.ldexp(_graded_nodes(s_run, n_cells, 1, 2), k)), n_cells // 2))
         cur = _graded_abel_sum(g_vals, s_run, alpha)
         if abs(cur - prev) < tol_run:
-            value = cur + (cur - prev) / 3.0
-            if k:
-                value = _times_pow2(value, k * alpha)
-                if not math.isfinite(value):
-                    raise OverflowError(
-                        f"integral over [0, {s_end}] is past the double range")
+            value = _times_pow2(cur + (cur - prev) / 3.0, k * alpha)
+            if not math.isfinite(value):
+                raise OverflowError(f"integral over [0, {s_end}] is past the double range")
             return value
         prev = cur
     raise RefinementError(
@@ -843,10 +814,9 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
 
 def gfi_reference(f: Callable[[np.ndarray], np.ndarray], x: float,
                   alpha: float, rho: float, a: float,
-                  tol: float = _REFERENCE_TOL,
-                  max_depth: int = _REFERENCE_MAX_DEPTH) -> float:
-    """Reference value of the fractional integral at a single point; 0.0 at
-    x = a.
+                  tol: float = _REFERENCE_TOL) -> float:
+    """Reference value of the fractional integral at a single point, as a
+    float; 0.0 at x = a.
 
     ``f`` maps an array of x to an array with one value per entry, and is
     called once per mesh level: on the 65 starting nodes, then on each
@@ -855,12 +825,16 @@ def gfi_reference(f: Callable[[np.ndarray], np.ndarray], x: float,
     Slow but self-validating; intended for verification (tests, study
     diagnostics), not for production solves.
 
-    Working memory per mesh level is about three arrays of the level's
-    length plus fixed blocks, besides what ``f`` allocates; a transformed
-    length s = (x**rho - a**rho)/rho whose cell intermediates would leave
-    the normal range is summed as s 2**-k (:func:`_abel_mesh`).  An s that
-    is not finite, or that underflows to 0 while x > a, is refused with
-    ``ValueError``.
+    The mesh doubles until two successive levels of Gamma(alpha) times the
+    value differ by less than tol, absolutely, and at most
+    ``_REFERENCE_MAX_DEPTH`` (16) times; past that it raises
+    :class:`RefinementError`.  Working memory per mesh level is about three
+    arrays of the level's length plus fixed blocks, besides what ``f``
+    allocates.  Every transformed length s = (x**rho - a**rho)/rho is
+    summed as s 2**-k in [1/2, 1) (:func:`_abel_mesh`).  An s that is not
+    finite, or that underflows to 0 while x > a, is refused with
+    ``ValueError``, and a value past the double range with
+    ``OverflowError``.
     """
     _check_finite("alpha", alpha)
     _check_finite("rho", rho)
@@ -870,11 +844,10 @@ def gfi_reference(f: Callable[[np.ndarray], np.ndarray], x: float,
     if x < a:
         raise ValueError(f"need x >= a, got x={x}, a={a}")
     _check_finite("tol", tol)
-    _check_int("max_depth", max_depth, 1)
     gam = _gamma(alpha)
     with np.errstate(all="ignore"):
         s_end = float(_s_from_x(x, a, rho))
     if not math.isfinite(s_end) or (s_end == 0.0 and x > a):
         raise ValueError(f"transformed length (x**rho - a**rho)/rho = {s_end} unusable")
     return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol,
-                      max_depth) / gam
+                      _REFERENCE_MAX_DEPTH) / gam

@@ -144,8 +144,6 @@ INT_SITES = [
     ("make_grid", "n_nodes", 2, lambda v: make_grid(0.0, 1.0, 1.0, v)),
     ("SolverConfig", "n_nodes", 2, lambda v: SolverConfig(n_nodes=v)),
     ("SolverConfig", "max_iter", 1, lambda v: SolverConfig(n_nodes=65, max_iter=v)),
-    ("gfi_reference", "max_depth", 1,
-     lambda v: gfi_reference(np.sin, 1.0, 0.5, 1.0, 0.0, max_depth=v)),
     ("contraction_bound", "j", 0,
      lambda v: contraction_bound(v, 1.0, 1.0, 0.5, 1.0)),
     ("stirling_table", "r", 1, lambda v: stirling_table(v, 1, 3)),

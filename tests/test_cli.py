@@ -257,6 +257,31 @@ def test_solve_near_the_overflow_threshold_converges(tmp_path, capsys):
     assert rel_errors[1] == pytest.approx(rel_errors[0], rel=1e-8)
 
 
+NUMERIC_REFUSALS = {
+    "RefinementError": ("solve", lambda: RefinementError("no mesh convergence")),
+    "DomainExitError": ("solve", lambda: solver.DomainExitError("iterate leaves the box")),
+    "MarchingError": ("solve", lambda: solver.MarchingError("node 3 did not settle", 3)),
+    # cmd_solve writes a partial solution for this one, so only study reaches main
+    "NonConvergenceError": ("study", lambda: solver.NonConvergenceError(
+        "no convergence in 3 iterations", None, None)),
+}
+
+
+@pytest.mark.parametrize("name", NUMERIC_REFUSALS)
+def test_numeric_refusal_is_one_error_line_and_exit_2(name, tmp_path, capsys, monkeypatch):
+    command, make = NUMERIC_REFUSALS[name]
+    exc = make()
+
+    def refuse(problem, config):
+        raise exc
+
+    monkeypatch.setattr(solver, "solve_picard", refuse)
+    prob = write(tmp_path / "lin.prob", LIN_PROB)
+    argv = (["solve", prob, "-o", str(tmp_path / "o.csv")] if command == "solve"
+            else ["study", prob, "--resolutions", "33,65"])
+    assert run(capsys, argv) == (2, "", f"error: {exc}\n")
+
+
 # ---------------------------------------------------------------------------
 # operator
 # ---------------------------------------------------------------------------

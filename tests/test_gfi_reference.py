@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from gfcalc import fracops
 from gfcalc.fracops import (
     RefinementError,
     _abel_mesh,
@@ -88,11 +89,12 @@ def test_tolerance_is_respected():
     assert abs(tight - want) < 1e-11
 
 
-def test_refinement_error_carries_context():
+def test_refinement_error_carries_context(monkeypatch):
     # one doubling allowed: a rough integrand cannot settle
+    monkeypatch.setattr(fracops, "_REFERENCE_MAX_DEPTH", 1)
     with pytest.raises(RefinementError):
         gfi_reference(lambda x: np.sin(50.0 / (x + 0.01)), 1.0, 0.5, 1.0, 0.0,
-                      tol=1e-14, max_depth=1)
+                      tol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -154,6 +156,20 @@ def test_extreme_transformed_lengths_keep_their_accuracy(x, alpha, rho):
     assert abs(got - want) <= 1e-12 * want
     t = np.arange(65) / 64
     assert np.array_equal(seen[0], s - s * (1.0 - t) * (1.0 - t) * (1.0 + 2.0 * t))
+
+
+@pytest.mark.parametrize("x", [1.0, 1e150])
+def test_returns_a_float_on_every_length(x):
+    # every length runs on its normalised mesh and is scaled back as a float
+    got = gfi_reference(np.ones_like, x, 1.5, 1.0, 0.0, tol=1e-13 * x**1.5)
+    assert type(got) is float
+
+
+def test_value_past_the_double_range_refused():
+    # s**alpha / Gamma(3) = 5e309 for s = 1e155, alpha 2
+    with pytest.raises(OverflowError,
+                       match=r"^integral over \[0, 1e\+155\] is past the double range$"):
+        gfi_reference(np.ones_like, 1e155, 2.0, 1.0, 0.0, tol=1e308)
 
 
 def test_transformed_length_underflowing_to_zero_refused():

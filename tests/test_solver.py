@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfcalc import solver
+from gfcalc import fracops, solver
 from gfcalc.fracops import (
     QuadratureWeights,
     RefinementError,
@@ -247,8 +247,7 @@ def test_oracle_residual_interpolates_values_near_the_overflow_threshold(monkeyp
     p = problem(y0=(1e307,), params={"lambda": 1.0}, K=1e307)
     solution, report = solve_picard(p, SolverConfig(n_nodes=257, tol=1e-12))
     assert report.converged
-    monkeypatch.setattr(solver, "gfi_reference", functools.partial(gfi_reference,
-                                                                    max_depth=1))
+    monkeypatch.setattr(fracops, "_REFERENCE_MAX_DEPTH", 1)
     with pytest.raises(RefinementError):
         oracle_residual(solution, p)
 
@@ -262,6 +261,17 @@ def test_oracle_residual_scales_its_tol_with_the_solution():
     resid = oracle_residual(solution, p)
     assert math.isfinite(resid)
     assert resid <= 1e-10 * float(np.max(np.abs(solution.values)))
+
+
+@pytest.mark.parametrize("lam,h_star", [(-1.0, 1.0), (-1e-225, 1e150)])
+def test_oracle_residual_returns_a_float_on_every_length(lam, h_star):
+    # the grids end near 0.76 and near 7.6e149, whose s**(alpha + 1) is past
+    # the double range
+    p = problem(alpha=1.5, y0=(1.0, 0.0), params={"lambda": lam}, h_star=h_star)
+    solution, report = solve_picard(p, SolverConfig(n_nodes=65, tol=1e-12))
+    assert report.converged
+    resid = oracle_residual(solution, p)
+    assert type(resid) is float and 0.0 < resid < 1e-10
 
 
 def test_step_h_zero_m_returns_h_star():

@@ -466,20 +466,30 @@ def test_apply_exact_sums_an_entry_the_scale_would_flush_in_a_second_piece(monke
     assert_within_an_ulp(got, exact_node_sums(w, vals), "flush")
 
 
+def test_apply_exact_sums_an_exact_multiple_below_the_threshold_in_a_second_piece(monkeypatch):
+    # every entry is a multiple of 2**(e - 25 beta), but 2**-400 lies below
+    # 2**(e + 52 - 25 beta), so it is split in a piece of its own
+    n = 257
+    w = build_weights(make_grid(0.0, 1.4, 1.0, n), 0.5)
+    vals = np.random.default_rng(n).standard_normal(n)
+    vals[n // 2] = 2.0 ** -400
+    units = [u for u, _ in fracops._int_pieces(vals, w._beta)]
+    assert any(b != a - w._beta for a, b in zip(units, units[1:]))
+    forbid_apply(monkeypatch)
+    assert_within_an_ulp(w.apply_exact(vals), exact_node_sums(w, vals), "below")
+
+
 def rule_pieces(x: np.ndarray, beta: int) -> list:
     """(e, slice count, entries) of each piece of x by the splitter's rule,
-    in exact rationals.  With max |rest| < 2**e, the piece is the whole rest
-    when every entry is a multiple of 2**(e - 25 beta), and otherwise its
+    in exact rationals.  With max |rest| < 2**e, the piece is the rest's
     entries of at least 2**(e + 52 - 25 beta); it takes as many slices as
     its finest scaled entry, a/2**m in lowest terms, needs: ceil(m / beta)."""
     rest = [Fraction(v) for v in x.tolist()]
     pieces = []
     while any(rest):
         e = math.frexp(float(max(abs(v) for v in rest)))[1]
-        fine = Fraction(2) ** (e - fracops._MAX_SLICES * beta)
-        piece = rest
-        if any((v / fine).denominator != 1 for v in rest):
-            piece = [v if abs(v) >= fine * 2 ** 52 else Fraction(0) for v in rest]
+        least = Fraction(2) ** (e + 52 - fracops._MAX_SLICES * beta)
+        piece = [v if abs(v) >= least else Fraction(0) for v in rest]
         bits = [(v / Fraction(2) ** e).denominator.bit_length() - 1 for v in piece if v]
         pieces.append((e, max(-(-m // beta) for m in bits), piece))
         rest = [r - v for r, v in zip(rest, piece)]
@@ -518,20 +528,16 @@ def assert_split_by_the_rule(x: np.ndarray, beta: int) -> None:
          beta=14)
 def test_int_pieces_split_any_finite_input_exactly_by_the_piece_rule(x, beta):
     # the pieces partition x, so x is their exact sum.  An input whose
-    # entries round-trip the 2**-e scaling and are multiples of
-    # 2**(e - 25 beta) is one piece, as a split of the whole would give; x
-    # rounded to such multiples is one, with the same largest entry and e
+    # entries are all at least 2**(e + 52 - 25 beta) or 0 is one piece; x's
+    # entries at or above that threshold are one, with the same largest
+    # entry and e
     assert_split_by_the_rule(x, beta)
     if not np.any(x):
         return
     e = math.frexp(float(np.max(np.abs(x))))[1]
-    deep = fracops._MAX_SLICES * beta
-    whole = np.ldexp(np.rint(np.ldexp(x, deep - e)), e - deep)
-    rest = np.ldexp(whole, -e)
-    assert np.array_equal(np.ldexp(rest, e), whole)
-    assert np.array_equal(np.ldexp(rest, deep), np.trunc(np.ldexp(rest, deep)))
-    assert len(rule_pieces(whole, beta)) == 1
-    assert_split_by_the_rule(whole, beta)
+    top = np.where(np.abs(x) >= math.ldexp(1.0, e + 52 - fracops._MAX_SLICES * beta), x, 0.0)
+    assert len(rule_pieces(top, beta)) == 1
+    assert_split_by_the_rule(top, beta)
 
 
 @pytest.mark.parametrize("alpha,rho,n", [
