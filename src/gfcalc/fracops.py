@@ -644,13 +644,17 @@ def _cell_coefficients(far: np.ndarray, near: np.ndarray, g_vals: np.ndarray,
     """Fill ``far`` and ``near`` with the products of g and its coefficients
     at the far and near edges of cells lo, lo + 1, ... of the graded mesh,
     ``g_vals`` holding g at their nodes; every cell integrates the exact
-    kernel against the linear interpolant.  All other arrays are of the
-    block's length and die with the call."""
+    kernel against the linear interpolant.  The closing cell, whose near
+    edge is the singular endpoint, takes the same formula: its log ratio is
+    -inf and expm1 gives -1, so its moments are b**alpha / alpha and
+    b**(alpha+1) / (alpha+1).  All other arrays are of the block's length
+    and die with the call."""
     u, w = _graded_block(s_end, n_cells, lo, lo + far.size)
     b_dist = u[:-1]                 # cell far edge,  > 0
-    a_dist = u[1:]                  # cell near edge, > 0
+    a_dist = u[1:]                  # cell near edge, 0 for the closing cell
     r = np.divide(a_dist, b_dist)
-    np.log(r, out=r)
+    with np.errstate(divide="ignore"):
+        np.log(r, out=r)            # -inf for the closing cell
     d1 = _cell_power(b_dist, r, alpha)
     d2 = _cell_power(b_dist, r, alpha + 1.0)
     # (d2 - a d1) / w and (b d1 - d2) / w, then the products with g
@@ -668,7 +672,8 @@ def _graded_abel_sum(g_vals: np.ndarray, s_end: float, alpha: float) -> float:
     """int_0^{s_end} (s_end - sigma)**(alpha-1) g(sigma) dsigma for the
     piecewise-linear interpolant of g on the graded mesh of
     ``g_vals.size - 1`` cells (:func:`_graded_block`), ``g_vals[i]`` being
-    g at node i.
+    g at node i.  Every cell, the closing one included, takes the one
+    formula of :func:`_cell_coefficients`.
 
     The cells are taken ``_ABEL_BLOCK`` at a time: the two coefficient
     arrays are filled in place block by block, and each is summed whole by
@@ -678,20 +683,13 @@ def _graded_abel_sum(g_vals: np.ndarray, s_end: float, alpha: float) -> float:
     computation gives.
     """
     n_cells = g_vals.size - 1
-    n_open = n_cells - 1                # every cell but the closing one
-    coeff_far = np.empty(n_open)
-    coeff_near = np.empty(n_open)
-    for lo in range(0, n_open, _ABEL_BLOCK):
-        hi = min(lo + _ABEL_BLOCK, n_open)
+    coeff_far = np.empty(n_cells)
+    coeff_near = np.empty(n_cells)
+    for lo in range(0, n_cells, _ABEL_BLOCK):
+        hi = min(lo + _ABEL_BLOCK, n_cells)
         _cell_coefficients(coeff_far[lo:hi], coeff_near[lo:hi], g_vals[lo:hi + 1],
                            s_end, n_cells, lo, alpha)
     total = float(np.sum(coeff_far) + np.sum(coeff_near))
-    # closing cell touches the singularity: closed form with a_dist = 0, its
-    # far edge node n_open, at the distance the blocks give it
-    t = n_open / n_cells
-    b_last = np.float64(_node_dist(s_end, t, 1.0 - t))
-    total += b_last**alpha * (g_vals[-1] / (alpha * (alpha + 1.0))
-                              + g_vals[-2] / (alpha + 1.0))
     if not math.isfinite(total):
         raise ValueError(f"integrand gives a non-finite sum on {n_cells} cells")
     return total
@@ -759,19 +757,21 @@ def _times_pow2(v: float, p: float) -> float:
 
 
 def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
-               alpha: float, tol: float, max_depth: int) -> float:
+               alpha: float, tol: float) -> float:
     """int_0^{s_end} (s_end - sigma)**(alpha-1) g(sigma) dsigma, with g
     evaluated one mesh level at a time: ``g(sigma)`` maps an array of nodes
     to an array of values.
 
     Product-trapezoid rule on a doubly graded mesh, doubling the mesh until
-    two successive refinements differ by less than tol; the returned value
-    carries the last h**2 extrapolation.  Node values are reused across
-    refinements (dyadic meshes), so g is called on the 65 starting nodes and
-    then once per doubling on that level's new nodes, the odd ones, before
-    the level's array of node values is assembled.  A level without one
-    value per node is refused, and so is a non-finite one: its nodes stay
-    in every later level.
+    two successive refinements differ by less than tol, at most
+    ``_REFERENCE_MAX_DEPTH`` times, read at call time; past that it raises
+    :class:`RefinementError`.  The returned value carries the last h**2
+    extrapolation.  Node values are reused across refinements (dyadic
+    meshes), so g is called on the 65 starting nodes and then once per
+    doubling on that level's new nodes, the odd ones, before the level's
+    array of node values is assembled.  A level without one value per node
+    is refused, and so is a non-finite one: its nodes stay in every later
+    level.
 
     Working memory per level is about three arrays of the level's length
     (its node values and :func:`_graded_abel_sum`'s two coefficient arrays)
@@ -793,7 +793,7 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
     n_cells = 64
     g_vals = _node_values(g(np.ldexp(_graded_nodes(s_run, n_cells, 0, 1), k)), n_cells + 1)
     prev = _graded_abel_sum(g_vals, s_run, alpha)
-    for _ in range(max_depth):
+    for _ in range(_REFERENCE_MAX_DEPTH):
         n_cells *= 2
         # the new nodes' values first, then the level's array: neither g's
         # output nor the coarser level outlives the assembly
@@ -807,8 +807,8 @@ def _abel_mesh(g: Callable[[np.ndarray], np.ndarray], s_end: float,
             return value
         prev = cur
     raise RefinementError(
-        f"no convergence to tol = {tol} within {max_depth} mesh doublings "
-        f"({n_cells} cells)"
+        f"no convergence to tol = {tol} within {_REFERENCE_MAX_DEPTH} mesh "
+        f"doublings ({n_cells} cells)"
     )
 
 
@@ -849,5 +849,4 @@ def gfi_reference(f: Callable[[np.ndarray], np.ndarray], x: float,
         s_end = float(_s_from_x(x, a, rho))
     if not math.isfinite(s_end) or (s_end == 0.0 and x > a):
         raise ValueError(f"transformed length (x**rho - a**rho)/rho = {s_end} unusable")
-    return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol,
-                      _REFERENCE_MAX_DEPTH) / gam
+    return _abel_mesh(lambda s: f(_x_from_s(s, a, rho)), s_end, alpha, tol) / gam

@@ -433,8 +433,10 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     until the solve returns, and the ramp moments come from
     ``fracops._ramp_moments``' process-wide cache of its last 16 tables,
     keyed by alpha and n, so a later solve of the same alpha and n reads
-    them back.  Both hold the arrays a fresh computation would give, so the
-    solution and report keep their bytes.
+    them back when n <= 4097, a table of n - 1 <=
+    ``fracops._MOMENT_CACHE_M`` moments; a longer table is computed afresh
+    by every solve.  Both hold the arrays a fresh computation would give,
+    so the solution and report keep their bytes.
     """
     with np.errstate(all="ignore"):     # an overflow is refused below
         M, h, grid, weights, t = _solver_setup(problem, config)

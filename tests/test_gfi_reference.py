@@ -7,6 +7,7 @@ is evaluated with mpmath at 30 digits.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,8 @@ from gfcalc import fracops
 from gfcalc.fracops import (
     RefinementError,
     _abel_mesh,
+    _graded_abel_sum,
+    _node_dist,
     _s_from_x,
     _x_from_s,
     gfi_reference,
@@ -200,23 +203,45 @@ def test_equals_per_point_mapping(a, rho):
     assert seen == {float}
     want = _abel_mesh(
         lambda s: [f(float(_x_from_s(v, a, rho))) for v in s.tolist()],
-        float(_s_from_x(x, a, rho)), alpha, tol, 16) / math.gamma(alpha)
+        float(_s_from_x(x, a, rho)), alpha, tol) / math.gamma(alpha)
     assert got.hex() == want.hex()
 
 
-def test_refusal_memory_is_bounded():
+def test_refusal_memory_is_bounded(monkeypatch):
     # the last of 12 doublings has 262,144 cells; its node values and the
     # two coefficient arrays of its sum, summed in fixed blocks of cells,
     # stay under 4 arrays of that size
+    monkeypatch.setattr(fracops, "_REFERENCE_MAX_DEPTH", 12)
     n_cells = 64 * 2**12
     tracemalloc.start()
     try:
         with pytest.raises(RefinementError, match="262144 cells"):
-            _abel_mesh(lambda s: np.sin(50.0 / (s + 0.01)), 1.0, 0.5, 1e-300, 12)
+            _abel_mesh(lambda s: np.sin(50.0 / (s + 0.01)), 1.0, 0.5, 1e-300)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * (n_cells + 1)
+
+
+@pytest.mark.parametrize("n_cells", [64, 262144])
+@pytest.mark.parametrize("s_end", [0.5, 0.999])
+@pytest.mark.parametrize("alpha", [0.05, 0.6, 1.0, 2.5, 40.0])
+def test_closing_cell_takes_the_cell_formula(alpha, s_end, n_cells):
+    # g is the hat function of the last node, so the sum is the closing
+    # cell's near coefficient alone: b**alpha / (alpha (alpha + 1)) exactly,
+    # with b that cell's width, and 0 where b**alpha underflows
+    g_vals = np.zeros(n_cells + 1)
+    g_vals[-1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _graded_abel_sum(g_vals, s_end, alpha)
+    t = (n_cells - 1) / n_cells
+    b_alpha = float(_node_dist(s_end, t, 1.0 - t)) ** alpha
+    if b_alpha == 0.0:
+        assert got == 0.0
+    else:
+        want = b_alpha / (alpha * (alpha + 1.0))
+        assert abs(got - want) <= 128 * 2.0**-53 * want
 
 
 def test_gamma_overflow_refused_before_any_evaluation():
