@@ -317,18 +317,20 @@ class QuadratureWeights:
     0, and ``band[d]`` is the weight at distance d = 0, 1, ..., n - 2, so that
     column j >= 1 is ``band[:n-j]`` in rows j..n-1.
 
-    The weight side of the fast sums is computed on first use and kept for
-    the life of the instance, with no key beyond the instance itself: the
-    band's spectrum for :meth:`apply_fft` (16 n bytes at n = 2**k + 1), and
-    for :meth:`apply_exact` the column-0 part of each weight slice and the
-    spectrum of its band part, the slice itself not being kept.  The slices
-    come from :func:`_int_pieces`, in pieces of at most ``_MAX_SLICES``
-    slices, each piece the rest's entries within that many slices of its
-    largest: about 98 KB a slice at n = 4097, so 2.5 MB for the one piece
-    of order 26 and 3.9 MB for the two of order 40 (25 + 14 slices), and
-    390 KB a slice at n = 16385.  They are the same arrays, from the same
-    arithmetic, that each call would compute, so every result keeps its
-    bytes.
+    The history sum W v is :meth:`apply_exact`, also named ``apply``, within
+    about an ulp of the exact sum in O(n log n); :meth:`apply_fft` is its
+    uncompensated FFT form.  The weight side of both sums is computed on
+    first use and kept for the life of the instance, with no key beyond the
+    instance itself: the band's spectrum for :meth:`apply_fft` (16 n bytes
+    at n = 2**k + 1), and for :meth:`apply_exact` the column-0 part of each
+    weight slice and the spectrum of its band part, the slice itself not
+    being kept.  The slices come from :func:`_int_pieces`, in pieces of at
+    most ``_MAX_SLICES`` slices, each piece the rest's entries within that
+    many slices of its largest: about 98 KB a slice at n = 4097, so 2.5 MB
+    for the one piece of order 26 and 3.9 MB for the two of order 40 (25 +
+    14 slices), and 390 KB a slice at n = 16385.  They are the same arrays,
+    from the same arithmetic, that each call would compute, so every result
+    keeps its bytes.
     """
 
     alpha: float
@@ -343,8 +345,8 @@ class QuadratureWeights:
         return np.concatenate((self.first[i:i + 1], self.band[:i][::-1]))
 
     def apply_fft(self, values: np.ndarray) -> np.ndarray:
-        """The sum of :meth:`apply` in O(n log n): ``first * values[0]`` plus
-        the linear convolution of ``band`` with ``values[1:]``, by real FFTs
+        """The sum of :meth:`apply_exact` by plain FFTs: ``first * values[0]``
+        plus the linear convolution of ``band`` with ``values[1:]``, by real FFTs
         zero padded to a power of two >= 2n - 3; node 0 is exactly 0.
 
         Uncompensated: each node is off by a few ulp of the largest row sum
@@ -478,34 +480,9 @@ class QuadratureWeights:
         out[0] = 0.0
         return out
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate the quadrature at every node in O(n**2); node 0 is exactly
-        0.  The compensated reference that :meth:`apply_exact` and
-        :meth:`apply_fft` are tested against; no library function calls it.
-
-        All rows are accumulated together, one column at a time in index
-        order, and the exact rounding error of each addition (TwoSum) is
-        carried in a second accumulator; column j updates only rows j..n-1,
-        the lower triangle.  The order is fixed and serial arithmetic only,
-        so results never depend on thread count.  The compensation removes
-        the error of the additions regardless of grid length, but each
-        product w * v is rounded before it is added: a node is within ~1 ulp
-        of the exact sum of stored weight times value only when its terms do
-        not cancel, and otherwise within about an ulp of sum |w| |v| (tens of
-        ulp of the node's value on signed data).  :meth:`apply_exact` is
-        within an ulp in both cases.
-        """
-        n = self.grid.n_nodes
-        vals = _node_values(values, n)
-        acc = np.zeros(n)
-        comp = np.zeros(n)
-        for j in range(n):
-            term = (self.band[:n - j] if j else self.first) * vals[j]
-            acc[j:], err = _two_sum(acc[j:], term)
-            comp[j:] += err
-        out = acc + comp
-        out[0] = 0.0
-        return out
+    # the exact sum under its older name, for callers written before
+    # apply_exact and for perfbench's trace, which wraps this name
+    apply = apply_exact
 
 
 def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:

@@ -618,13 +618,13 @@ def test_picard_nonconvergence_carries_partial_result():
 
 
 def compensated_picard(p, cfg):
-    """Picard iteration with the compensated apply on every iterate."""
+    """Picard iteration with the exact sum on every iterate."""
     grid = make_grid(0.0, existence_box(p)[1], p.rho, cfg.n_nodes)
     w = build_weights(grid, p.alpha)
     t = taylor_poly(p.y0, grid.x_nodes)
     y = t
     for k in range(1, cfg.max_iter + 1):
-        y_next = t + w.apply(p.rhs.fn(grid.x_nodes, y, p))
+        y_next = t + w.apply_exact(p.rhs.fn(grid.x_nodes, y, p))
         delta = float(np.max(np.abs(y_next - y)))
         y = y_next
         if delta <= cfg.tol:
@@ -653,8 +653,8 @@ def test_picard_fft_phase_keeps_compensated_iterations(name, params, alpha, rho,
 
 def test_picard_converged_solve_makes_two_compensated_applies(monkeypatch):
     # the converging iteration and the residual take the exact sum; the
-    # iterations before it take the FFT path, and nothing falls back to apply
-    calls = {"apply": 0, "apply_exact": 0}
+    # iterations before it take the FFT path
+    calls = {"apply_exact": 0}
 
     def counting(name):
         method = getattr(QuadratureWeights, name)
@@ -668,7 +668,7 @@ def test_picard_converged_solve_makes_two_compensated_applies(monkeypatch):
         monkeypatch.setattr(QuadratureWeights, name, counting(name))
     _, rep = solve_picard(problem(), SolverConfig(n_nodes=257, tol=1e-12))
     assert rep.converged and rep.iterations > 2
-    assert calls == {"apply": 0, "apply_exact": 2}
+    assert calls == {"apply_exact": 2}
 
 
 def test_picard_fft_phase_stops_before_the_last_allowed_iteration():

@@ -18,9 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfcalc import fracops
-from gfcalc.fracops import (QuadratureWeights, SampledFunction, build_weights,
-                            gfd_caputo, gfd_riemann, gfi_apply, make_grid)
-from gfcalc.solver import IVProblem, SolverConfig, make_rhs, solve_picard
+from gfcalc.fracops import SampledFunction, build_weights, gfi_apply, make_grid
 
 
 def dense(weights) -> np.ndarray:
@@ -65,13 +63,6 @@ def assert_within_an_ulp(got: np.ndarray, exact: list, label) -> None:
         ulp = Fraction(float(np.spacing(abs(want))))
         assert math.isfinite(got[i]), (label, i)
         assert abs(Fraction(float(got[i])) - exact[i]) <= ulp, (label, i)
-
-
-def forbid_apply(monkeypatch) -> None:
-    def no_apply(self, values):
-        raise AssertionError("apply_exact fell back to apply")
-
-    monkeypatch.setattr(QuadratureWeights, "apply", no_apply)
 
 
 def classical_weights_mp(alpha: float, ds: float, n: int) -> np.ndarray:
@@ -228,52 +219,6 @@ def test_apply_exact_memory_is_linear():
     assert peak < 2_000_000
 
 
-def dense_neumaier_apply(w: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Reference: column-by-column Neumaier sweep over the dense matrix."""
-    n = vals.shape[0]
-    acc = np.zeros(n)
-    comp = np.zeros(n)
-    for j in range(n):
-        term = w[:, j] * vals[j]
-        total = acc + term
-        for i in range(n):
-            if abs(acc[i]) >= abs(term[i]):
-                comp[i] += (acc[i] - total[i]) + term[i]
-            else:
-                comp[i] += (term[i] - total[i]) + acc[i]
-        acc = total
-    out = acc + comp
-    out[0] = 0.0
-    return out
-
-
-@pytest.mark.parametrize("alpha,rho,n", [
-    (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
-    (0.25, 2.0, 1025),
-])
-def test_apply_matches_dense_compensated_sweep(alpha, rho, n):
-    # apply skips the zeros above the diagonal; bytes, not values, are
-    # compared so that a -0/+0 flip in the leading rows fails too
-    grid = make_grid(0.0, 1.4, rho, n)
-    w = build_weights(grid, alpha)
-    dense_w = dense(w)
-    rng = np.random.default_rng(n)
-    random = rng.standard_normal(n) * np.exp(rng.uniform(-8.0, 8.0, n))
-    # -0 on the leading nodes, then positive values with exact zeros among them
-    signed_zeros = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.5, 2.0, n))
-    signed_zeros[:(n + 1) // 2] = -0.0
-    # alternating signs, magnitudes rising so |term| often exceeds |acc|
-    growing = np.geomspace(1e-150, 1e150, n) * (-1.0) ** np.arange(n)
-    # no intermediate of the compensated sum may overflow
-    huge = np.where(rng.random(n) < 0.5, -1e300, 1e300)
-    inputs = {"random": random, "signed zeros": signed_zeros,
-              "growing": growing, "huge": huge}
-    for kind, vals in inputs.items():
-        got = w.apply(vals)
-        want = dense_neumaier_apply(dense_w, vals)
-        assert got.tobytes() == want.tobytes(), kind
-
-
 @pytest.mark.parametrize("alpha,n", [(0.4, 2), (0.4, 3), (0.8, 17), (1.7, 64)])
 def test_dense_weights_toeplitz_off_first_column(alpha, n):
     weights = build_weights(make_grid(0.0, 1.0, 1.0, n), alpha)
@@ -300,17 +245,17 @@ def test_apply_fft_matches_apply(alpha, rho):
         rng = np.random.default_rng(n)
         for vals in (rng.standard_normal(n), rng.uniform(0.5, 2.0, n)):
             got = w.apply_fft(vals)
-            scale = float(np.max(w.apply(np.abs(vals))))
+            scale = float(np.max(w.apply_exact(np.abs(vals))))
             assert got[0] == 0.0
-            assert np.max(np.abs(got - w.apply(vals))) <= 1e-15 * scale
+            assert np.max(np.abs(got - w.apply_exact(vals))) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("alpha", [0.25, 1.6])
 @pytest.mark.parametrize("n", [2, 3, 33, 257])
 def test_apply_exact_within_an_ulp_of_the_exact_sum(alpha, n):
-    # exact rational sums of stored weight times value; apply itself is off
-    # by tens of ulp on the signed inputs, as it sums rounded products.
-    # gfi_apply takes its sum from apply_exact, so it is held to the same
+    # exact rational sums of stored weight times value; apply is another
+    # name of apply_exact, and gfi_apply takes its sum from apply_exact, so
+    # both are held to the same
     w = build_weights(make_grid(0.0, 1.4, 1.0, n), alpha)
     rng = np.random.default_rng(n)
     inputs = {"normal": rng.standard_normal(n),
@@ -321,7 +266,8 @@ def test_apply_exact_within_an_ulp_of_the_exact_sum(alpha, n):
     tiny[n // 2] = math.pi * 1e-16
     inputs["tiny entry"] = tiny
     entries = {"apply_exact": w.apply_exact,
-               "gfi_apply": lambda v: gfi_apply(SampledFunction(w.grid, v), alpha).values}
+               "gfi_apply": lambda v: gfi_apply(SampledFunction(w.grid, v), alpha).values,
+               "apply": w.apply}
     for kind, vals in inputs.items():
         exact_vals = [Fraction(float(v)) for v in vals]
         exact = [sum(Fraction(float(wij)) * vj
@@ -335,17 +281,12 @@ def test_apply_exact_within_an_ulp_of_the_exact_sum(alpha, n):
                 assert abs(Fraction(float(got[i])) - exact[i]) <= ulp, (entry, kind, i)
 
 
-def test_apply_exact_sums_high_order_weights_exactly(monkeypatch):
+def test_apply_exact_sums_high_order_weights_exactly():
     # alpha 7 weights take 7 slices at n = 257; a level still holds at most
     # 6 slice pairs, since the signed values take fewer
     n = 257
     w = build_weights(make_grid(0.0, 1.4, 1.0, n), 7.0)
     vals = np.random.default_rng(n).standard_normal(n)
-
-    def no_apply(self, values):
-        raise AssertionError("apply_exact fell back to apply")
-
-    monkeypatch.setattr(QuadratureWeights, "apply", no_apply)
     got = w.apply_exact(vals)
     assert len(w._weight_split[1]) == 7
     exact_vals = [Fraction(float(v)) for v in vals]
@@ -361,33 +302,22 @@ def test_apply_exact_sums_high_order_weights_exactly(monkeypatch):
     (30.0, lambda t: np.random.default_rng(257).standard_normal(t.size)),
     (0.5, lambda t: np.exp(120.0 * t)),
 ], ids=["alpha 20", "alpha 30", "exp(t) to e^120"])
-def test_apply_exact_sums_splits_of_up_to_25_slices(alpha, values, monkeypatch):
+def test_apply_exact_sums_splits_of_up_to_25_slices(alpha, values):
     # at n = 257 the weights of order 20 and 30 take 13 and 18 slices, and
     # values spread over e^120 (about 2**173) take 14
     n = 257
     w = build_weights(make_grid(0.0, 1.4, 1.0, n), alpha)
     vals = values(np.linspace(0.0, 1.0, n))
-    forbid_apply(monkeypatch)
     got = w.apply_exact(vals)
     assert got[0] == 0.0
     assert_within_an_ulp(got, exact_node_sums(w, vals), alpha)
 
 
-def test_apply_exact_at_order_ten_on_a_long_grid_makes_no_apply(monkeypatch):
+def test_apply_exact_at_order_ten_on_a_long_grid_is_finite():
     # the weights of order 10 take 14 slices at n = 16385
     n = 16385
     w = build_weights(make_grid(0.0, 1.0, 1.0, n), 10.0)
-    calls = 0
-    apply = QuadratureWeights.apply
-
-    def counted(self, values):
-        nonlocal calls
-        calls += 1
-        return apply(self, values)
-
-    monkeypatch.setattr(QuadratureWeights, "apply", counted)
     got = w.apply_exact(np.random.default_rng(n).standard_normal(n))
-    assert calls == 0
     assert got[0] == 0.0 and np.all(np.isfinite(got))
 
 
@@ -400,14 +330,13 @@ def test_slice_cap_keeps_every_level_normal():
 
 
 @pytest.mark.parametrize("n", [65, 257, 1025])
-def test_apply_exact_sums_values_at_the_ends_of_the_range(n, monkeypatch):
+def test_apply_exact_sums_values_at_the_ends_of_the_range(n):
     # each split runs at max |x| scaled into [1/2, 1), so values near the
     # underflow and the overflow thresholds split like any others
     w = build_weights(make_grid(0.0, 1.4, 1.0, n), 1.5)
     rng = np.random.default_rng(n)
     inputs = {"tiny": rng.standard_normal(n) * 1e-290,
               "huge": np.where(rng.random(n) < 0.5, -1e300, 1e300)}
-    forbid_apply(monkeypatch)
     for kind, vals in inputs.items():
         got = w.apply_exact(vals)
         assert got[0] == 0.0, kind
@@ -424,7 +353,6 @@ def test_apply_exact_sums_wide_weights_and_wide_values(monkeypatch):
     kw = len(w._weight_split[1])
     kv = len(list(fracops._int_pieces(vals, w._beta)))
     assert min(kw, kv) > fracops._LEVEL_PAIRS
-    forbid_apply(monkeypatch)
     irfft = np.fft.irfft
     calls = 0
 
@@ -441,7 +369,7 @@ def test_apply_exact_sums_wide_weights_and_wide_values(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.3])
-def test_apply_exact_within_an_ulp_where_the_last_node_cancels(alpha, monkeypatch):
+def test_apply_exact_within_an_ulp_where_the_last_node_cancels(alpha):
     # the last value cancels node n - 1's history to rounding level, so
     # every level, the last one too, reaches that node's last bit
     n = 257
@@ -449,24 +377,22 @@ def test_apply_exact_within_an_ulp_where_the_last_node_cancels(alpha, monkeypatc
     vals = np.random.default_rng(n).standard_normal(n)
     vals[-1] = 0.0
     vals[-1] = -w.apply_exact(vals)[-1] / w.band[0]
-    forbid_apply(monkeypatch)
     got = w.apply_exact(vals)
     exact = exact_node_sums(w, vals)
     assert abs(exact[-1]) < 1e-12 * max(abs(x) for x in exact)
     assert_within_an_ulp(got, exact, "cancelling")
 
 
-def test_apply_exact_sums_an_entry_the_scale_would_flush_in_a_second_piece(monkeypatch):
+def test_apply_exact_sums_an_entry_the_scale_would_flush_in_a_second_piece():
     # a split without the leading 1e-30 would sum nodes 1..n-2 to 0, so it
     # takes a piece of its own
     vals = flush_values()
     w = build_weights(make_grid(0.0, 1.0, 1.0, vals.size), 0.7)
-    forbid_apply(monkeypatch)
     got = w.apply_exact(vals)
     assert_within_an_ulp(got, exact_node_sums(w, vals), "flush")
 
 
-def test_apply_exact_sums_an_exact_multiple_below_the_threshold_in_a_second_piece(monkeypatch):
+def test_apply_exact_sums_an_exact_multiple_below_the_threshold_in_a_second_piece():
     # every entry is a multiple of 2**(e - 25 beta), but 2**-400 lies below
     # 2**(e + 52 - 25 beta), so it is split in a piece of its own
     n = 257
@@ -475,7 +401,6 @@ def test_apply_exact_sums_an_exact_multiple_below_the_threshold_in_a_second_piec
     vals[n // 2] = 2.0 ** -400
     units = [u for u, _ in fracops._int_pieces(vals, w._beta)]
     assert any(b != a - w._beta for a, b in zip(units, units[1:]))
-    forbid_apply(monkeypatch)
     assert_within_an_ulp(w.apply_exact(vals), exact_node_sums(w, vals), "below")
 
 
@@ -544,11 +469,10 @@ def test_int_pieces_split_any_finite_input_exactly_by_the_piece_rule(x, beta):
     (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
     (0.25, 2.0, 1025),
 ])
-def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
-    # no input reaches apply: the byte gate's growing input needs more than
-    # 25 slices, so it is split into pieces, and nan is refused; its huge
-    # input and standard-normal values scaled to 1e-290 split after scaling
-    # by 2**-e
+def test_apply_exact_falls_back_to_apply(alpha, rho, n):
+    # the growing input needs more than 25 slices, so it is split into
+    # pieces, and nan is refused; the huge input and standard-normal values
+    # scaled to 1e-290 split after scaling by 2**-e
     w = build_weights(make_grid(0.0, 1.4, rho, n), alpha)
     rng = np.random.default_rng(n)
     inputs = {
@@ -558,7 +482,6 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
     nan = np.where(np.arange(n) == n // 2, np.nan, 1.0)
     # drawn after the others so their data stays as it was
     inputs["tiny"] = rng.standard_normal(n) * 1e-290
-    forbid_apply(monkeypatch)
     for kind, vals in inputs.items():
         got = w.apply_exact(vals)
         assert got[0] == 0.0, kind
@@ -567,12 +490,11 @@ def test_apply_exact_falls_back_to_apply(alpha, rho, n, monkeypatch):
         w.apply_exact(nan)
 
 
-def test_apply_exact_of_weights_that_all_underflow_is_zero(monkeypatch):
+def test_apply_exact_of_weights_that_all_underflow_is_zero():
     # on [0, 1e-8] every weight of order 40 underflows to 0, and ones take a
     # single slice: the exact sum is 0 at every node
     w = build_weights(make_grid(0.0, 1e-8, 1.0, 257), 40.0)
     assert not np.any(w.first) and not np.any(w.band)
-    forbid_apply(monkeypatch)
     got = w.apply_exact(np.ones(257))
     assert got.tobytes() == np.zeros(257).tobytes()
 
@@ -617,13 +539,12 @@ def opposite_overflow_values() -> np.ndarray:
 @example(alpha=2.5, length=1e30, vals=opposite_overflow_values())
 def test_apply_exact_sums_every_finite_input_within_an_ulp(alpha, length, vals):
     # every node within an ulp of the exact sum, or the infinity of its sign
-    # past the double range, with no apply; at n 1025 the weights of order 30
-    # and 40 take 22 and 32 slices.  Weights past the double range sum zeros
-    # to zeros and refuse anything else
+    # past the double range; at n 1025 the weights of order 30 and 40 take
+    # 22 and 32 slices.  Weights past the double range sum zeros to zeros
+    # and refuse anything else
     n = vals.size
     w = build_weights(make_grid(0.0, length, 1.0, n), alpha)
-    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
-        forbid_apply(patch)
+    with np.errstate(over="ignore"):
         if not (np.all(np.isfinite(w.first)) and np.all(np.isfinite(w.band))):
             assert w.apply_exact(np.zeros(n)).tobytes() == np.zeros(n).tobytes()
             if np.any(vals):
@@ -635,45 +556,18 @@ def test_apply_exact_sums_every_finite_input_within_an_ulp(alpha, length, vals):
     assert_within_an_ulp(got, exact_node_sums(w, vals), alpha)
 
 
-def test_apply_exact_falls_back_on_a_level_past_the_overflow_threshold(monkeypatch):
+def test_apply_exact_returns_infinities_past_the_overflow_threshold():
     # weights below 2**243 and values below 2**831 split into slices, and
-    # the exact sums overflow: apply_exact, with no apply, returns the
-    # infinity of each sum's sign, and gfi_apply refuses the result
+    # the exact sums overflow: apply_exact returns the infinity of each
+    # sum's sign, and gfi_apply refuses the result
     w = build_weights(make_grid(0.0, 1e30, 1.0, 65), 2.5)
     vals = np.where(np.random.default_rng(65).random(65) < 0.5, -1e250, 1e250)
-    forbid_apply(monkeypatch)
     with np.errstate(over="ignore"):
         got = w.apply_exact(vals)
     assert np.all(np.isinf(got[1:]))
     assert_within_an_ulp(got, exact_node_sums(w, vals), "overflow")
     with pytest.raises(OverflowError, match="fractional integral of order 2.5"):
         gfi_apply(SampledFunction(w.grid, vals), 2.5)
-
-
-def test_operators_and_solver_make_no_compensated_apply(monkeypatch):
-    # apply is the reference and the fallback; on in-range data every
-    # production sum, including one whose values span more than 6 slices
-    # (power_forcing beta 4.5 at n = 4097), is apply_exact's
-    calls = 0
-    apply = QuadratureWeights.apply
-
-    def counted(self, values):
-        nonlocal calls
-        calls += 1
-        return apply(self, values)
-
-    grid = make_grid(0.0, 1.0, 0.5, 257)
-    f = SampledFunction(grid, np.sin(3.0 * grid.x_nodes) + 0.5)
-    p = IVProblem(alpha=0.5, rho=1.0, y0=(0.0,), h_star=1.0, K=1.0,
-                  rhs=make_rhs("power_forcing", {"beta": 4.5, "c": 0.1}))
-    monkeypatch.setattr(QuadratureWeights, "apply", counted)
-    for alpha in (0.4, 1.3):
-        gfi_apply(f, alpha)
-        gfd_riemann(f, alpha)
-        gfd_caputo(f, alpha, (0.5, 3.0)[:math.ceil(alpha)])
-    assert calls == 0
-    solve_picard(p, SolverConfig(n_nodes=4097, tol=1e-12))
-    assert calls == 0
 
 
 def test_apply_exact_refuses_an_fft_output_off_an_integer(monkeypatch):
@@ -894,11 +788,10 @@ def test_apply_fft_transforms_the_band_once(monkeypatch):
     (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
     (0.25, 2.0, 1025),
 ])
-def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n, monkeypatch):
+def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n):
     # the inputs of test_apply_exact_falls_back_to_apply, the growing one
     # split into pieces, each on an instance whose weight split a successful
     # call has already cached
-    forbid_apply(monkeypatch)
     grid = make_grid(0.0, 1.4, rho, n)
     w = build_weights(grid, alpha)
     rng = np.random.default_rng(n)
