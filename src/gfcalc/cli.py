@@ -10,9 +10,10 @@ Subcommands:
     study <problem-file> --resolutions 256,512,...
                                          grid-refinement error study
 
-Exit codes: 0 success, 1 input error, 2 computation failure.  All CSV numbers
-use 17 significant digits so outputs are reproducible bit for bit and parse
-back losslessly.
+Exit codes: 0 success, 1 input error, 2 computation failure: an
+``OverflowError`` or any ``gfcalc.ComputationError``, the base of every
+refusal the library raises.  All CSV numbers use 17 significant digits so
+outputs are reproducible bit for bit and parse back losslessly.
 
 Only ``specialfn``, which needs no numpy, is imported here: ``ml``,
 ``stirling``, ``--help`` and usage errors never import numpy, and each
@@ -26,7 +27,7 @@ import dataclasses
 import math
 import sys
 
-from .specialfn import ConvergenceError, mittag_leffler, stirling_table
+from .specialfn import ComputationError, mittag_leffler, stirling_table
 
 __all__ = ["main", "entry"]
 
@@ -317,14 +318,6 @@ def _command_and_input(args) -> str:
     return args.command     # ml and stirling take only numbers
 
 
-def _refusals() -> tuple:
-    """The numeric modules' refusals, imported only once an error gets here."""
-    from .fracops import RefinementError
-    from .solver import DomainExitError, MarchingError, NonConvergenceError
-
-    return RefinementError, DomainExitError, MarchingError, NonConvergenceError
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -339,10 +332,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: overflow in {_command_and_input(args)}: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:     # ml's refusal: matched before numpy loads
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _refusals() as exc:
+    except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

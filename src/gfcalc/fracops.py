@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .specialfn import _check_finite, _check_int, _two_sum
+from .specialfn import ComputationError, _check_finite, _check_int, _two_sum
 
 __all__ = [
     "Grid",
@@ -69,7 +69,7 @@ _MOMENT_CACHE_SIZE = 16
 _MOMENT_CACHE_M = 4096
 
 
-class RefinementError(RuntimeError):
+class RefinementError(ComputationError):
     """Adaptive quadrature did not converge within the depth limit."""
 
 

@@ -39,7 +39,7 @@ from .fracops import (
     make_grid,
     taylor_poly,
 )
-from .specialfn import _check_finite, _check_int, gamma_ln, mittag_leffler
+from .specialfn import ComputationError, _check_finite, _check_int, gamma_ln, mittag_leffler
 
 __all__ = [
     "RightHandSide",
@@ -71,11 +71,11 @@ _MARCH_ITER_CAP = 100
 _ORACLE_PROBES = (0.25, 0.5, 0.75, 1.0)   # probe nodes, as fractions of the grid
 
 
-class DomainExitError(RuntimeError):
+class DomainExitError(ComputationError):
     """An iterate left the existence box {|y - T| <= K}."""
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(ComputationError):
     """Picard iteration hit max_iter or a period-2 cycle; carries the
     partial solution/report."""
 
@@ -85,7 +85,7 @@ class NonConvergenceError(RuntimeError):
         self.report = report
 
 
-class MarchingError(RuntimeError):
+class MarchingError(ComputationError):
     """The per-node scalar solve failed to converge."""
 
     def __init__(self, message: str, node: int):
@@ -592,17 +592,32 @@ def holder_bound(x1: float, x2: float, M: float, alpha: float, rho: float) -> fl
         alpha <= 1:  2 M / (rho**alpha Gamma(alpha+1)) (x2**rho - x1**rho)**alpha
         alpha  > 1:    M / (rho**alpha Gamma(alpha+1))
                        * ((x2**rho - x1**rho)**alpha + x2**(rho alpha) - x1**(rho alpha))
+
+    The bound is evaluated in doubles as written.  One past the double range
+    raises ``OverflowError`` naming the bound, as ``contraction_bound``
+    raises it through ``math.exp``; so does one that cannot be evaluated: a
+    power overflows, ``rho**alpha`` underflows to 0, or a factor past the
+    range meets a zero one.
     """
     if not (math.isfinite(x1) and math.isfinite(x2) and 0.0 <= x1 <= x2):
         raise ValueError(f"need 0 <= x1 <= x2, got x1={x1}, x2={x2}")
     _check_finite("M", M, strict=False)
     _check_finite("alpha", alpha)
     _check_finite("rho", rho)
-    scale = M / (rho**alpha * _gamma(alpha, 1.0))
-    gap = x2**rho - x1**rho
-    if alpha <= 1.0:
-        return 2.0 * scale * gap**alpha
-    return scale * (gap**alpha + x2 ** (rho * alpha) - x1 ** (rho * alpha))
+    gamma = _gamma(alpha, 1.0)
+    try:
+        scale = M / (rho**alpha * gamma)
+        gap = x2**rho - x1**rho
+        if alpha <= 1.0:
+            bound = 2.0 * scale * gap**alpha
+        else:
+            bound = scale * (gap**alpha + x2 ** (rho * alpha) - x1 ** (rho * alpha))
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise OverflowError(f"holder_bound is past the double range for x1={x1}, "
+                            f"x2={x2}, M={M}, alpha={alpha}, rho={rho}")
+    return bound
 
 
 def volterra_residual(y: SampledFunction, problem: IVProblem,

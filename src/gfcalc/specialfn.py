@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "ComputationError",
     "ConvergenceError",
     "gamma_ln",
     "mittag_leffler",
@@ -25,7 +26,11 @@ _ORACLE_MAX_RM = 6
 _ORACLE_MAX_N = 12
 
 
-class ConvergenceError(ArithmeticError):
+class ComputationError(RuntimeError):
+    """A computation the library refuses to finish: exit 2 on the CLI."""
+
+
+class ConvergenceError(ComputationError, ArithmeticError):
     """A series failed to converge within its documented domain."""
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gfcalc import fracops, solver
+from gfcalc import ComputationError, fracops, solver
 from gfcalc.cli import main, read_xy_csv
 from gfcalc.fracops import RefinementError
 from gfcalc.solver import SolverConfig, solve_picard
@@ -264,6 +264,7 @@ NUMERIC_REFUSALS = {
     # cmd_solve writes a partial solution for this one, so only study reaches main
     "NonConvergenceError": ("study", lambda: solver.NonConvergenceError(
         "no convergence in 3 iterations", None, None)),
+    "ComputationError": ("solve", lambda: ComputationError("refused")),
 }
 
 

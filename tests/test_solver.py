@@ -514,6 +514,12 @@ def test_holder_validation():
         holder_bound(x1=1.0, x2=0.5, M=1.0, alpha=0.5, rho=1.0)
     with pytest.raises(ValueError):
         holder_bound(x1=0.0, x2=1.0, M=-1.0, alpha=0.5, rho=1.0)
+    # past the double range: rho**alpha underflows to 0, rho**alpha
+    # overflows, the bound overflows, and an infinite factor meets gap 0
+    for x1, M, rho in ((0.0, 1.0, 1e-200), (0.0, 1.0, 1e200), (0.0, 1e300, 1e-10),
+                       (1.0, 1e300, 1e-10)):
+        with pytest.raises(OverflowError, match=r"^holder_bound is past the double range"):
+            holder_bound(x1=x1, x2=1.0, M=M, alpha=2.0, rho=rho)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ def test_from_import_of_a_submodule_loads_that_submodule_alone():
 
     assert loaded("cli") == "['gfcalc.cli', 'gfcalc.specialfn']\n"
     assert loaded("specialfn") == "['gfcalc.specialfn']\n"
+    assert loaded("ComputationError") == "['gfcalc.specialfn']\n"
     assert loaded("fracops") == "['gfcalc.fracops', 'gfcalc.specialfn', 'numpy']\n"
 
 

@@ -469,7 +469,7 @@ def test_int_pieces_split_any_finite_input_exactly_by_the_piece_rule(x, beta):
     (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
     (0.25, 2.0, 1025),
 ])
-def test_apply_exact_falls_back_to_apply(alpha, rho, n):
+def test_apply_exact_of_extreme_values_within_an_ulp(alpha, rho, n):
     # the growing input needs more than 25 slices, so it is split into
     # pieces, and nan is refused; the huge input and standard-normal values
     # scaled to 1e-290 split after scaling by 2**-e
@@ -788,10 +788,10 @@ def test_apply_fft_transforms_the_band_once(monkeypatch):
     (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
     (0.25, 2.0, 1025),
 ])
-def test_fallback_inputs_after_a_cached_split_keep_their_bytes(alpha, rho, n):
-    # the inputs of test_apply_exact_falls_back_to_apply, the growing one
-    # split into pieces, each on an instance whose weight split a successful
-    # call has already cached
+def test_extreme_values_after_a_cached_split_keep_their_bytes(alpha, rho, n):
+    # the inputs of test_apply_exact_of_extreme_values_within_an_ulp, the
+    # growing one split into pieces, each on an instance whose weight split a
+    # successful call has already cached
     grid = make_grid(0.0, 1.4, rho, n)
     w = build_weights(grid, alpha)
     rng = np.random.default_rng(n)
