@@ -282,6 +282,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """What a solve did, beside its solution.
+
+    ``h_used`` and ``M`` are the step solved over and the |f| bound that
+    set it (:func:`existence_box`); ``iterations`` counts the updates and
+    ``fft_iterations`` the leading ones whose history sum came from the FFT
+    path; ``deltas[k]`` is update k + 1's sup norm.  ``omega_bounds`` holds
+    :func:`contraction_bound`'s omega_1 .. omega_iterations, an omega_j
+    past the double range as inf, or None without ``lipschitz_L``.
+    ``residual`` is :func:`volterra_residual` of the returned iterate and
+    ``converged`` whether the last update was within tol.
+    """
     h_used: float
     M: float
     iterations: int
@@ -430,13 +441,14 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
 
     The solve builds its weights once.  The weights' band spectrum and
     exact-sum slices are computed by the first sum of each kind and kept
-    until the solve returns, and the ramp moments come from
-    ``fracops._ramp_moments``' process-wide cache of its last 16 tables,
-    keyed by alpha and n, so a later solve of the same alpha and n reads
-    them back when n <= 4097, a table of n - 1 <=
-    ``fracops._MOMENT_CACHE_M`` moments; a longer table is computed afresh
-    by every solve.  Both hold the arrays a fresh computation would give,
-    so the solution and report keep their bytes.
+    until the solve returns, and the ramp moments may come from the cache
+    of ``fracops._ramp_moments``, whose docstring states its policy.  Both
+    hold the arrays a fresh computation would give, so the solution and
+    report keep their bytes.
+
+    With ``config.lipschitz_L`` set, the report carries omega_1 ..
+    omega_iterations of :func:`contraction_bound`, an omega_j past the
+    double range as inf, so a diagnostic never costs a converged solve.
     """
     with np.errstate(all="ignore"):     # an overflow is refused below
         M, h, grid, weights, t = _solver_setup(problem, config)
@@ -474,7 +486,7 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
             fft_iterations=fft_iterations,
             deltas=np.array(deltas),
             omega_bounds=None if config.lipschitz_L is None else np.array(
-                [contraction_bound(j, config.lipschitz_L, h, problem.alpha, problem.rho)
+                [_omega_or_inf(j, config.lipschitz_L, h, problem.alpha, problem.rho)
                  for j in range(1, len(deltas) + 1)]),
             residual=volterra_residual(solution, problem, weights),
             converged=converged,
@@ -569,7 +581,8 @@ def contraction_bound(j: int, L: float, x: float, alpha: float, rho: float) -> f
     """omega_j = L**j (x**rho / rho)**(alpha j) / Gamma(1 + alpha j).
 
     Bounds the sup-norm contraction of j compositions of the integral
-    operator for an L-Lipschitz right-hand side, on [0, x].
+    operator for an L-Lipschitz right-hand side, on [0, x].  A bound past
+    the double range raises ``OverflowError`` through ``math.exp``.
     """
     _check_int("j", j, 0)
     _check_finite("L", L, strict=False)
@@ -584,6 +597,14 @@ def contraction_bound(j: int, L: float, x: float, alpha: float, rho: float) -> f
                + alpha * j * (rho * math.log(x) - math.log(rho))
                - gamma_ln(1.0 + alpha * j))
     return math.exp(log_val)
+
+
+def _omega_or_inf(j: int, L: float, x: float, alpha: float, rho: float) -> float:
+    """:func:`contraction_bound`, with inf for a bound past the double range."""
+    try:
+        return contraction_bound(j, L, x, alpha, rho)
+    except OverflowError:
+        return math.inf
 
 
 def holder_bound(x1: float, x2: float, M: float, alpha: float, rho: float) -> float:

@@ -244,6 +244,19 @@ def test_closing_cell_takes_the_cell_formula(alpha, s_end, n_cells):
         assert abs(got - want) <= 128 * 2.0**-53 * want
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.5, 40.0])
+def test_level_sum_is_the_same_for_every_block_size(alpha, monkeypatch):
+    # a level of three whole blocks and two cells more, its half-way point
+    # inside the second block: every block size gives the whole level's bits
+    n_cells = 3 * 4096 + 2
+    g_vals = np.random.default_rng(11).standard_normal(n_cells + 1)
+    sums = set()
+    for block in (n_cells + 1, 4096, 1000, 7):
+        monkeypatch.setattr(fracops, "_ABEL_BLOCK", block)
+        sums.add(_graded_abel_sum(g_vals, 0.75, alpha).hex())
+    assert len(sums) == 1
+
+
 def test_gamma_overflow_refused_before_any_evaluation():
     calls = 0
 

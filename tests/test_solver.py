@@ -485,6 +485,11 @@ def test_contraction_zero_cases():
     assert contraction_bound(3, L=1.0, x=0.0, alpha=0.5, rho=1.0) == 0.0
 
 
+def test_contraction_past_the_double_range_raises():
+    with pytest.raises(OverflowError):
+        contraction_bound(2, L=1e300, x=1.0, alpha=0.5, rho=1.0)
+
+
 def test_contraction_validation():
     with pytest.raises(ValueError):
         contraction_bound(-1, L=1.0, x=1.0, alpha=0.5, rho=1.0)
@@ -975,6 +980,7 @@ def _report(deltas, omega_bounds):
     ([1.0, 2e-12], [0.0], False),
     ([100.0, 1e-10], [0.0], True),              # slack scales with deltas[0] > 1
     ([100.0, 2e-10], [0.0], False),
+    ([1.0, 0.5, 0.4], [0.5, math.inf], True),  # an omega_j past the double range
 ])
 def test_contraction_respected(deltas, omega_bounds, want):
     assert contraction_respected(_report(deltas, omega_bounds)) is want
