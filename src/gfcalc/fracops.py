@@ -351,10 +351,15 @@ class QuadratureWeights:
 
         Uncompensated: each node is off by a few ulp of the largest row sum
         of |w| |values|, not of its own value, so use it only where that
-        error is swamped, as in the early Picard iterations.
+        error is swamped, as in the early Picard iterations.  Weights that
+        are not finite take :meth:`apply_exact`'s rule, from the same check
+        (:meth:`_zero_sum`): all-zero values sum to zeros, and any others
+        raise ``OverflowError`` naming the order.
         """
         n = self.grid.n_nodes
         vals = _node_values(values, n)
+        if not self._finite and self._zero_sum(vals):    # finite weights sum 0 to 0
+            return np.zeros(n)
         out = self.first * vals[0]
         size = self._fft_size
         spectrum = self._band_spectrum * np.fft.rfft(vals[1:], size)
@@ -388,14 +393,25 @@ class QuadratureWeights:
         return units, heads, spectra
 
     @cached_property
+    def _finite(self) -> bool:
+        """Whether every weight is finite."""
+        return bool(np.all(np.isfinite(self.first)) and np.all(np.isfinite(self.band)))
+
+    def _zero_sum(self, vals: np.ndarray) -> bool:
+        """Whether ``vals`` are all zero, whose sum is zeros whatever the
+        weights; any other values raise ``OverflowError`` naming the order
+        when a weight is not finite."""
+        if not np.any(vals):
+            return True
+        if not self._finite:
+            raise OverflowError(f"weights of order {self.alpha} are not finite")
+        return False
+
+    @cached_property
     def _weight_split(self):
         """:meth:`_split` of ``first`` and ``band`` together, heads being
-        column 0.  Weights that are not finite raise ``OverflowError``
-        naming the order."""
-        weights = np.concatenate((self.first, self.band))
-        if not np.all(np.isfinite(weights)):
-            raise OverflowError(f"weights of order {self.alpha} are not finite")
-        return self._split(weights, self.grid.n_nodes)
+        column 0; read only after :meth:`_zero_sum` has passed the weights."""
+        return self._split(np.concatenate((self.first, self.band)), self.grid.n_nodes)
 
     def apply_exact(self, values: np.ndarray) -> np.ndarray:
         """The library's history sum W v in O(n log n), each node within
@@ -443,7 +459,7 @@ class QuadratureWeights:
         vals = _node_values(values, n)
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        if not np.any(vals):        # before the weights, which may not be finite
+        if self._zero_sum(vals):
             return np.zeros(n)
         beta = self._beta
         w_units, w_heads, w_spectra = self._weight_split
@@ -489,9 +505,9 @@ def build_weights(grid: Grid, alpha: float) -> QuadratureWeights:
     """Product-trapezoidal weights for the Abel kernel of order ``alpha``.
 
     A weight past the double range comes back non-finite, quietly.
-    ``apply_exact`` then sums zeros to zeros and raises ``OverflowError``
-    naming the order on any other values, so ``gfi_apply``, the solvers and
-    ``volterra_residual`` refuse them.
+    ``apply_exact`` and ``apply_fft`` then sum zeros to zeros and raise
+    ``OverflowError`` naming the order on any other values, so
+    ``gfi_apply``, the solvers and ``volterra_residual`` refuse them.
     """
     _check_finite("alpha", alpha)
     n = grid.n_nodes
@@ -570,7 +586,8 @@ def gfd_caputo(f: SampledFunction, alpha: float, init) -> SampledFunction:
     degree n-1 Taylor polynomial about a, n = ceil(alpha).
 
     ``init[k]`` is the k-th classical derivative of f at a, k = 0..n-1.  A
-    result that overflows raises ``OverflowError``.
+    Taylor polynomial (:func:`taylor_poly`) or a result that overflows
+    raises ``OverflowError``.
     """
     _check_finite("alpha", alpha)
     norder = math.ceil(alpha)
@@ -588,13 +605,22 @@ def gfd_caputo(f: SampledFunction, alpha: float, init) -> SampledFunction:
 
 
 def taylor_poly(y0, x):
-    """T(x) = sum_k y0[k] x**k / k!, the polynomial carrying the initial data."""
+    """T(x) = sum_k y0[k] x**k / k!, the polynomial carrying the initial data.
+
+    The library's one check on T: a T that is not finite raises
+    ``OverflowError`` (``Taylor polynomial T is not finite``), so the
+    solvers, ``existence_box``, the residuals and ``gfd_caputo`` all refuse
+    it with the same text.  Each calls it under ``np.errstate``, so numpy
+    does not warn of the overflow first; a direct caller can do the same.
+    """
     x = np.asarray(x, dtype=float)
     acc = np.zeros_like(x)
     term = np.ones_like(x)
     for k, ck in enumerate(y0):
         acc = acc + ck * term
         term = term * x / (k + 1.0)
+    if not np.all(np.isfinite(acc)):
+        raise OverflowError("Taylor polynomial T is not finite")
     return acc if acc.ndim else float(acc)
 
 

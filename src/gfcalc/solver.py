@@ -307,9 +307,9 @@ def estimate_M(problem: IVProblem) -> float:
     """max |f| over the 64 x 64 lattice of the box G = [0, h_star] x
     {|y - T(x)| <= K}, even in x and in y - T.  A lattice maximum is a lower
     estimate of the true sup, so a step computed from it can be longer than
-    the theorem allows; a bound from each rhs is ROADMAP item 4.  A lattice
-    that overflows, in T or in the offsets y - T, is refused like a
-    non-finite f.
+    the theorem allows; a bound from each rhs is ROADMAP item 4.  A T that
+    is not finite raises :func:`taylor_poly`'s ``OverflowError``; offsets
+    y - T that overflow are refused like a non-finite f.
     """
     with np.errstate(all="ignore"):     # a non-finite value is refused below
         xs = np.linspace(0.0, problem.h_star, _M_LATTICE)
@@ -379,7 +379,7 @@ def _eval_rhs(problem: IVProblem, x: np.ndarray, y: np.ndarray,
 def _ivp_taylor(grid: Grid, problem: IVProblem,
                 weights: QuadratureWeights | None = None) -> np.ndarray:
     """T at the nodes, after checking that grid and weights suit the problem;
-    a T that overflows raises ``OverflowError``."""
+    a T that overflows raises ``OverflowError`` from :func:`taylor_poly`."""
     if weights is not None and not weights.grid.same_layout(grid):
         raise ValueError("weights were built for a different grid")
     if weights is not None and weights.alpha != problem.alpha:
@@ -387,10 +387,7 @@ def _ivp_taylor(grid: Grid, problem: IVProblem,
                          f"requested alpha={problem.alpha}")
     if grid.a != 0.0:
         raise ValueError("initial value problems live on [0, h]; grid.a must be 0")
-    t = taylor_poly(problem.y0, grid.x_nodes)
-    if not np.all(np.isfinite(t)):
-        raise OverflowError("Taylor polynomial T is not finite")
-    return t
+    return taylor_poly(problem.y0, grid.x_nodes)
 
 
 def picard_apply(y: SampledFunction, problem: IVProblem,
@@ -409,7 +406,6 @@ def _solver_setup(problem: IVProblem, config: SolverConfig):
     M, h = existence_box(problem)
     grid = make_grid(0.0, h, problem.rho, config.n_nodes)
     weights = build_weights(grid, problem.alpha)
-    # T unchecked: each solver refuses an overflowing T inside its own loop
     return M, h, grid, weights, taylor_poly(problem.y0, grid.x_nodes)
 
 
@@ -421,10 +417,10 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
     NonConvergenceError carrying both, with the last scaled tol in its
     message, if max_iter is exhausted or an exact-sum iterate equals the
     one two iterations back (a period-2 cycle, which no further iteration
-    leaves), and OverflowError if an iterate of the exact sum is not
-    finite, or a weight is not finite and f is not 0.  Setup, iteration and
-    residual run under one ``np.errstate``, so an overflow raises no numpy
-    warning.
+    leaves), and OverflowError if T is not finite (:func:`taylor_poly`), an
+    iterate of the exact sum is not finite, or a weight is not finite and f
+    is not 0.  Setup, iteration and residual run under one ``np.errstate``,
+    so an overflow raises no numpy warning.
 
     Each iterate takes its history sum from the O(n log n) FFT convolution
     (``QuadratureWeights.apply_fft``) while tol < delta < previous delta,
@@ -468,7 +464,7 @@ def solve_picard(problem: IVProblem, config: SolverConfig):
             elif fft:
                 y_next = t + weights.apply_exact(fvals)
                 delta = float(np.max(np.abs(y_next - y)))
-            if not math.isfinite(delta):    # y_next, or T on the first pass, overflowed
+            if not math.isfinite(delta):    # the exact sum overflowed
                 raise OverflowError(f"Picard iterate {k + 1} is not finite")
             _check_in_box(y_next, t, problem.K, "Picard iterate")
             deltas.append(delta)
@@ -505,15 +501,18 @@ def _march_node(b: float, w_nn: float, f_scalar, u0: float, tol: float,
     """Solve u = b + w_nn f(u): one plain fixed-point step, then the secant
     method on the residual, with a plain step whenever the residual repeats.
 
-    A step b + w_nn f(u) that is not finite, as when b is not finite or
-    the step overflows, raises ``OverflowError`` naming the node; a node
-    solve that does not converge raises ``MarchingError``.
+    A zero f(u) adds nothing to b, whatever w_nn, as in
+    ``QuadratureWeights.apply_exact``.  A step b + w_nn f(u) that is not
+    finite, as when b is not finite or the step overflows, raises
+    ``OverflowError`` naming the node; a node solve that does not converge
+    raises ``MarchingError``.
     """
     u = u0
     res_prev = None
     u_prev = None
     for _ in range(_MARCH_ITER_CAP):
-        phi = b + w_nn * f_scalar(u)
+        f = f_scalar(u)
+        phi = b + w_nn * f if f else b
         if not math.isfinite(phi):
             raise OverflowError(f"marching node {node} is not finite")
         res = phi - u
@@ -538,17 +537,21 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
     history sum over nodes 0..i-1, starting from y_{i-1}; node 0, whose
     weight w_00 is 0, starts from T(0) and returns it.  The history sum is
     numpy's pairwise ``np.sum`` of the elementwise products, an order that
-    no BLAS build or thread count changes.  Each node calls ``rhs.fn`` on
+    no BLAS build or thread count changes.  A zero rhs value adds nothing,
+    whatever its weight, as in ``QuadratureWeights.apply_exact``: a sum
+    that comes back nan, as from a weight past the double range times 0,
+    is taken again without the zero values.  Each node calls ``rhs.fn`` on
     Python floats and refuses a value that is not finite with the
     ``ValueError`` of the vectorized solvers.  Node i's solve stops when
     its residual is within max(1e-15, 1e-4 tol) * max(1, max |y|), with
     max |y| over nodes 0..i-1 (the rule of :class:`SolverConfig`).
 
-    The whole solve runs under one ``np.errstate``.  A node step
-    b_i + w_ii f(u) that is not finite, as when T or the history sum
-    overflows or the step itself does, raises ``OverflowError``
-    (``marching node i is not finite``), and a node solve that does not
-    converge raises ``MarchingError``.
+    The whole solve runs under one ``np.errstate``.  A T that is not finite
+    raises :func:`taylor_poly`'s ``OverflowError``.  A node step
+    b_i + w_ii f(u) that is not finite, as when the history sum overflows
+    or the step itself does, raises ``OverflowError`` (``marching node i is
+    not finite``), and a node solve that does not converge raises
+    ``MarchingError``.
     """
     with np.errstate(all="ignore"):     # an overflow is refused below
         _, _, grid, weights, t = _solver_setup(problem, config)
@@ -558,7 +561,10 @@ def solve_marching(problem: IVProblem, config: SolverConfig) -> SampledFunction:
         tol_i = max(1e-15, 1e-4 * config.tol)   # times max(1, max |y|) over nodes solved
         for i in range(n):
             row = weights.row(i)
-            b = t[i] + float(np.sum(row[:i] * fv[:i]))
+            hist = float(np.sum(row[:i] * fv[:i]))
+            if math.isnan(hist):        # a weight past the double range times 0
+                hist = float(np.sum(np.where(fv[:i] != 0.0, row[:i] * fv[:i], 0.0)))
+            b = t[i] + hist
 
             def f_scalar(u: float, _xi=float(grid.x_nodes[i])) -> float:
                 val = float(problem.rhs.fn(_xi, u, problem))

@@ -213,23 +213,31 @@ def test_solve_overflowing_rhs_is_one_error_line(tmp_path, capsys):
     assert err == "error: rhs is not finite on the existence box\n"
 
 
-def test_solve_overflowing_picard_iterate_is_an_overflow(tmp_path, capsys):
-    # the Taylor polynomial of 150 ones overflows at h_star 1e6, so the
-    # first iterate is not finite: refused as an overflow (exit 2), and numpy
-    # must not warn first, neither in the setup nor in the iteration
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_overflowing_taylor_polynomial_is_one_overflow_line(tmp_path, capsys, command):
+    # the Taylor polynomial of 150 ones overflows at h_star 1e6: refused by
+    # taylor_poly before any rhs value, as an overflow (exit 2), with one
+    # line whatever the rhs, the bounded sin too, and numpy must not warn
+    # first
     text = (ZERO_PROB.replace("problem.alpha = 0.7", "problem.alpha = 149.5")
             .replace("problem.rho = 1.3", "problem.rho = 1.0")
             .replace("problem.y0 = [2.5]",
                      "problem.y0 = [" + ", ".join(["1.0"] * 150) + "]")
             .replace("problem.h_star = 1.0", "problem.h_star = 1e6")
             .replace("solver.n_nodes = 33", "solver.n_nodes = 129"))
-    argv = _solve_argv(tmp_path, text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: overflow in solve ({argv[1]}): Picard iterate 1 is not finite\n"
+    rhs = {"zero": "problem.rhs = zero",
+           "linear": "problem.rhs = linear\nproblem.rhs.lambda = -1.0",
+           "sin": "problem.rhs = sin"}
+    options = {"solve": ["-o", str(tmp_path / "o.csv")], "study": ["--resolutions", "33,65"]}
+    prob = str(tmp_path / "t.prob")
+    for name, lines in rhs.items():
+        write(tmp_path / "t.prob", text.replace("problem.rhs = zero", lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [command, prob, *options[command]])
+        assert (code, out) == (2, ""), name
+        assert err == (f"error: overflow in {command} ({prob}): "
+                       "Taylor polynomial T is not finite\n"), name
 
 
 def test_solve_near_the_overflow_threshold_converges(tmp_path, capsys):

@@ -14,15 +14,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfcalc import fracops, solver
+from gfcalc import ComputationError, fracops, solver
 from gfcalc.fracops import (
     QuadratureWeights,
     RefinementError,
     SampledFunction,
     build_weights,
+    gfd_caputo,
+    gfd_riemann,
+    gfi_apply,
     gfi_reference,
     make_grid,
 )
@@ -49,6 +52,7 @@ from gfcalc.solver import (
     taylor_poly,
     volterra_residual,
 )
+from gfcalc.specialfn import mittag_leffler
 
 
 def ulp_gap(got: float, want: float) -> float:
@@ -151,18 +155,21 @@ def test_overflowing_history_sum_is_refused_quietly():
 
 @pytest.mark.parametrize("call,message", [
     (lambda p, y, w: solve_marching(p, SolverConfig(n_nodes=129)),
-     "^marching node 1 is not finite$"),
+     "^Taylor polynomial T is not finite$"),
+    (lambda p, y, w: solve_picard(p, SolverConfig(n_nodes=129)),
+     "^Taylor polynomial T is not finite$"),
+    (lambda p, y, w: existence_box(p), "^Taylor polynomial T is not finite$"),
     (lambda p, y, w: picard_apply(y, p, w), "^Taylor polynomial T is not finite$"),
     (lambda p, y, w: volterra_residual(y, p, w), "^Taylor polynomial T is not finite$"),
     (lambda p, y, w: volterra_residual(y, p), "^Taylor polynomial T is not finite$"),
     (lambda p, y, w: oracle_residual(y, p), "^Taylor polynomial T is not finite$"),
-], ids=["solve_marching", "picard_apply", "volterra_residual",
-        "volterra_residual_builds_weights", "oracle_residual"])
+], ids=["solve_marching", "solve_picard", "existence_box", "picard_apply",
+        "volterra_residual", "volterra_residual_builds_weights", "oracle_residual"])
 def test_overflowing_taylor_polynomial_is_refused_quietly(call, message):
     # T(x) = sum_k x**k / k! over 150 terms overflows from the first node
     # past 0 on [0, 1e6], and so do the order-149.5 weights there: every
-    # solver call refuses T with one OverflowError and lets numpy warn of
-    # neither
+    # solver call refuses T with taylor_poly's one OverflowError and lets
+    # numpy warn of neither
     p = problem(alpha=149.5, y0=(1.0,) * 150, name="zero", h_star=1e6)
     grid = make_grid(0.0, 1e6, 1.0, 129)
     with warnings.catch_warnings():
@@ -757,6 +764,25 @@ def test_marching_zero_rhs_reproduces_taylor():
     assert np.array_equal(sol.values, t)
 
 
+@pytest.mark.parametrize("name,params", [("zero", {}), ("linear", {"lambda": 0.0})])
+@pytest.mark.parametrize("alpha,h_star,n", [(43.0, 3e8, 5), (43.0, 3e8, 3), (20.0, 1e17, 3)])
+def test_marching_zero_rhs_adds_nothing_past_weights_that_overflow(alpha, h_star, n,
+                                                                  name, params):
+    # T = 1 is finite, but some weights are past the double range: a zero
+    # rhs value adds nothing, whatever its weight, so both solvers return T
+    # with the same bytes, where marching took inf * 0 = nan in its history
+    # sum and its node step and refused the node
+    p = problem(alpha=alpha, y0=(1.0,) + (0.0,) * (math.ceil(alpha) - 1), name=name,
+                params=params, h_star=h_star)
+    config = SolverConfig(n_nodes=n)
+    assert not np.all(np.isfinite(build_weights(make_grid(0.0, h_star, 1.0, n), alpha).band))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        picard, _ = solve_picard(p, config)
+        marching = solve_marching(p, config)
+    assert marching.values.tobytes() == picard.values.tobytes() == np.ones(n).tobytes()
+
+
 def test_marching_agrees_with_picard_on_linear():
     p = problem()
     cfg = SolverConfig(n_nodes=513, tol=1e-12)
@@ -1110,3 +1136,109 @@ def test_oracle_residual_needs_grid_from_origin():
     g = make_grid(0.5, 1.0, 1.0, 9)
     with pytest.raises(ValueError, match="grid.a must be 0"):
         oracle_residual(SampledFunction(g, np.ones(9)), problem())
+
+
+# ---------------------------------------------------------------------------
+# accurate or refused: every call over extreme ranges
+# ---------------------------------------------------------------------------
+
+_EXTREME_PARAMS = {
+    "zero": st.just({}),
+    "linear": st.fixed_dictionaries({"lambda": st.floats(-10.0, 10.0)}),
+    "power_forcing": st.fixed_dictionaries({"beta": st.floats(0.0, 5.0),
+                                            "c": st.floats(-10.0, 10.0)}),
+    "sin": st.fixed_dictionaries({"c": st.floats(-10.0, 10.0)}),
+    "logistic": st.fixed_dictionaries({"lambda": st.floats(-10.0, 10.0)}),
+}
+
+
+@st.composite
+def extreme_cases(draw):
+    """(problem, n): alpha in (0, 40], rho in [1e-3, 10], y0 entries in
+    [-1e8, 1e8], h_star in [1e-2, 10], K in [1e-6, 1e6], n in [2, 65], and
+    every registered rhs."""
+    alpha = draw(st.floats(0.0, 40.0, exclude_min=True))
+    name = draw(st.sampled_from(rhs_names()))
+    y0 = draw(st.lists(st.floats(-1e8, 1e8), min_size=math.ceil(alpha),
+                       max_size=math.ceil(alpha)))
+    p = IVProblem(alpha=alpha, rho=10.0 ** draw(st.floats(-3.0, 1.0)), y0=tuple(y0),
+                  rhs=make_rhs(name, draw(_EXTREME_PARAMS[name])),
+                  h_star=10.0 ** draw(st.floats(-2.0, 1.0)),
+                  K=10.0 ** draw(st.floats(-6.0, 6.0)))
+    return p, draw(st.integers(2, 65))
+
+
+def _finite_or_refused(call):
+    """call()'s value, whose values must be finite, or None for a refusal
+    by one of the library's typed errors; anything else, a numpy warning
+    too, fails."""
+    try:
+        value = call()
+    except (ValueError, OverflowError, ComputationError):
+        return None
+    values = np.asarray(getattr(value, "values", value), dtype=float)
+    assert np.all(np.isfinite(values))
+    return value
+
+
+def _omega_1(p: IVProblem, h: float) -> float:
+    """L s(h)**alpha / Gamma(alpha + 1), the sup-norm Lipschitz constant of
+    one Picard step on [0, h] (the weights of a row sum to s**alpha /
+    Gamma(alpha + 1)), inf past the double range."""
+    try:
+        return contraction_bound(1, p.rhs.lipschitz(p), h, p.alpha, p.rho)
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=extreme_cases(), z=st.floats(-1e3, 1e3))
+# ROADMAP item 19's sin case: a Picard 2-cycle that marching solves
+@example(case=(problem(0.539, 1.0, (-0.9411239795189432,), "sin", {"c": 2.3613855464899416},
+                       9.991893671376308, 6.326076843131313), 257), z=-1.0)
+# item 4b's sin case: the 1/alpha step lets Picard leave the box
+@example(case=(problem(0.6, 0.6, (0.5,), "sin", {"c": 1.0}, 1.0, 1.0), 257), z=-1.0)
+# T overflows, with the bounded sin: taylor_poly refuses it everywhere
+@example(case=(problem(149.5, 1.0, (1.0,) * 150, "sin", {"c": 1.0}, 1e6, 1.0), 129), z=1.0)
+# weights past the double range on a zero rhs: both solvers return T
+@example(case=(problem(43.0, 1.0, (1.0,) + (0.0,) * 42, "zero", {}, 3e8, 1.0), 5), z=1.0)
+# omega_1 above 1/2, where both return but need not agree: at n 2 the node
+# equation u = 1 + w 4 sin(u) has several roots, and each solver takes
+# another (-1.738 and 2.829); on [0, 0.0135] at rho 0.018, omega_1 about
+# 6e6, Picard stops after one update of 1.7e-14 while marching's solution
+# is 6.3e-7 away
+@example(case=(problem(0.25, 1.0, (1.0,), "sin", {"c": 4.0}, 1.0, 10.0), 2), z=0.0)
+@example(case=(problem(5.678657832810093, 0.018015596001569142,
+                       (1e-26, -4.958325031781093e-60, -1.470450151334012e-180,
+                        3.004192541567064e-27, -1.192092896e-07, 0.490904491182917),
+                       "sin", {"c": 0.490904491182917}, 1.0, 1.000000000000002e-06), 27),
+         z=0.0)
+def test_every_call_is_accurate_or_refused(case, z):
+    # each call returns finite values or raises ValueError, OverflowError or
+    # a ComputationError, and numpy warns of nothing; where both solvers
+    # return and one Picard step contracts by omega_1 <= 1/2, the discrete
+    # solution is unique, Picard's last update bounds its error, and the
+    # two agree within 10 tol max(1, max |y|).  That both solve or both
+    # refuse waits for ROADMAP items 4 and 19
+    p, n = case
+    config = SolverConfig(n_nodes=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        picard = _finite_or_refused(lambda: solve_picard(p, config)[0])
+        marching = _finite_or_refused(lambda: solve_marching(p, config))
+        y = picard if picard is not None else marching
+
+        def sampled():
+            if y is not None:
+                return y
+            grid = make_grid(0.0, p.h_star, p.rho, n)
+            with np.errstate(all="ignore"):     # as the library calls it
+                return SampledFunction(grid, taylor_poly(p.y0, grid.x_nodes))
+
+        _finite_or_refused(lambda: gfi_apply(sampled(), p.alpha))
+        _finite_or_refused(lambda: gfd_riemann(sampled(), p.alpha))
+        _finite_or_refused(lambda: gfd_caputo(sampled(), p.alpha, p.y0))
+        _finite_or_refused(lambda: mittag_leffler(p.alpha, z))
+    if picard is not None and marching is not None and _omega_1(p, picard.grid.b) <= 0.5:
+        scale = max(1.0, float(np.max(np.abs(picard.values))))
+        assert np.max(np.abs(picard.values - marching.values)) <= 10.0 * config.tol * scale

@@ -784,6 +784,18 @@ def test_apply_fft_transforms_the_band_once(monkeypatch):
     assert calls == len(vals) + 1
 
 
+def test_apply_fft_takes_the_exact_sums_rule_on_weights_past_the_double_range():
+    # the order-149.5 weights on [0, 1e6] are not finite: both sums give
+    # zeros for zeros and refuse any other values with one OverflowError,
+    # where apply_fft gave nan at every node past 0
+    w = build_weights(make_grid(0.0, 1e6, 1.0, 129), 149.5)
+    assert not np.all(np.isfinite(w.band))
+    for apply in (w.apply_exact, w.apply_fft):
+        assert apply(np.zeros(129)).tobytes() == np.zeros(129).tobytes()
+        with pytest.raises(OverflowError, match=r"^weights of order 149\.5 are not finite$"):
+            apply(np.ones(129))
+
+
 @pytest.mark.parametrize("alpha,rho,n", [
     (0.3, 1.0, 2), (0.5, 1.0, 3), (1.0, 0.7, 33), (1.6, 1.4, 130),
     (0.25, 2.0, 1025),

@@ -15,9 +15,10 @@ and stirling on fixed inputs, each in its own process with its own hash
 seed, hashed over its exit code, stdout, stderr and output file.  The inputs
 are a problem file for every rhs at an order below 1 and one between 1 and
 2, with rho cycling through 0.5, 1 and 2, one with y0 1e7, whose Picard
-stop needs the tol scaled with the solution, two at the ends of the solver's
-range (y0 1e307, and alpha 149.5 with an overflowing Taylor polynomial), and
-CSVs on 257 nodes: sin(3x), seeded standard-normal noise, that noise times
+stop needs the tol scaled with the solution, three at the ends of the
+solver's range (y0 1e307, and alpha 149.5 with an overflowing Taylor
+polynomial, once with the zero rhs and once with the bounded sin), and CSVs
+on 257 nodes: sin(3x), seeded standard-normal noise, that noise times
 1e-290, seeded signs times 1e300, and noise spread over e^-20..e^20 (by
 ``math.exp`` per value, not numpy's SIMD-dispatched ``np.exp``).  The
 operator cases include ones of order 7, whose weights take more slices than
@@ -112,11 +113,12 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
         "problem.y0 = [0.5]", "problem.y0 = [1e307]").replace(
         "problem.rhs.lambda = -1.0", "problem.rhs.lambda = 1.0").replace(
         "problem.K = 1.0", "problem.K = 1e307"), encoding="utf-8")
-    (work / "taylor.prob").write_text(problem_text("zero", 0.6, 1.0).replace(
-        "problem.alpha = 0.6", "problem.alpha = 149.5").replace(
-        "problem.y0 = [0.5]", "problem.y0 = [" + ", ".join(["1.0"] * 150) + "]").replace(
-        "problem.h_star = 1.0", "problem.h_star = 1e6"), encoding="utf-8")
-    for name in ("big.prob", "huge.prob", "taylor.prob"):
+    for name, rhs in (("taylor.prob", "zero"), ("sin-taylor.prob", "sin")):
+        (work / name).write_text(problem_text(rhs, 0.6, 1.0).replace(
+            "problem.alpha = 0.6", "problem.alpha = 149.5").replace(
+            "problem.y0 = [0.5]", "problem.y0 = [" + ", ".join(["1.0"] * 150) + "]").replace(
+            "problem.h_star = 1.0", "problem.h_star = 1e6"), encoding="utf-8")
+    for name in ("big.prob", "huge.prob", "taylor.prob", "sin-taylor.prob"):
         commands.append((f"solve {name}", ["solve", name, "-o", "out.csv"]))
 
     x = np.linspace(0.0, 1.0, CSV_NODES)
