@@ -172,8 +172,17 @@ def cmd_ml(args) -> int:
 
 def cmd_stirling(args) -> int:
     table = stirling_table(args.r, args.m, args.max_n)
-    for row in table.rows:
-        print(" ".join(str(v) for v in row))
+    # exact rows may pass the interpreter's int-to-str digit limit: lift it
+    # for the formatting only, and write nothing before every row is
+    # formatted.  Python before 3.10.7 has no limit and no setter
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:
+        lines = [" ".join(map(str, row)) + "\n" for row in table.rows]
+    finally:
+        set_limit(limit)
+    sys.stdout.writelines(lines)
     return 0
 
 

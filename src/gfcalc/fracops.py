@@ -585,40 +585,52 @@ def gfd_caputo(f: SampledFunction, alpha: float, init) -> SampledFunction:
     """Caputo-type derivative: the order-``alpha`` derivative of f minus its
     degree n-1 Taylor polynomial about a, n = ceil(alpha).
 
-    ``init[k]`` is the k-th classical derivative of f at a, k = 0..n-1.  A
+    ``init[k]`` is the k-th classical derivative of f at a, k = 0..n-1,
+    checked by the rule ``IVProblem`` applies to ``y0``: entries that are
+    not finite, or not ceil(alpha) of them, raise ``ValueError``.  A
     Taylor polynomial (:func:`taylor_poly`) or a result that overflows
     raises ``OverflowError``.
     """
     _check_finite("alpha", alpha)
-    norder = math.ceil(alpha)
-    init = tuple(float(v) for v in init)
-    if len(init) != norder:
-        raise ValueError(
-            f"init must have ceil(alpha) = {norder} entries, got {len(init)}"
-        )
-    if not all(map(math.isfinite, init)):
-        raise ValueError(f"init must be finite, got {init}")
+    init = _initial_values("init", init, alpha)
     with np.errstate(all="ignore"):
         vals = f.values - taylor_poly(init, f.grid.x_nodes - f.grid.a)
     shifted = _finite_result(f, vals, "f minus its Taylor polynomial")
     return gfd_riemann(shifted, alpha)
 
 
+def _initial_values(name: str, values, alpha: float) -> tuple:
+    """``values`` as a tuple of ceil(alpha) finite floats: the one check of
+    the initial derivatives, ``IVProblem.y0`` and ``gfd_caputo``'s
+    ``init``.  An entry that is not finite, then a wrong count, raises
+    ``ValueError`` naming ``name``."""
+    values = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite, got {values}")
+    if len(values) != math.ceil(alpha):
+        raise ValueError(f"{name} must have ceil(alpha) = {math.ceil(alpha)} "
+                         f"entries, got {len(values)}")
+    return values
+
+
 def taylor_poly(y0, x):
     """T(x) = sum_k y0[k] x**k / k!, the polynomial carrying the initial data.
 
-    The library's one check on T: a T that is not finite raises
-    ``OverflowError`` (``Taylor polynomial T is not finite``), so the
-    solvers, ``existence_box``, the residuals and ``gfd_caputo`` all refuse
-    it with the same text.  Each calls it under ``np.errstate``, so numpy
-    does not warn of the overflow first; a direct caller can do the same.
+    T is summed by Horner's rule, y0[0] + x/1 (y0[1] + x/2 (y0[2] + ...)),
+    so no power x**k / k! is formed on its own and a zero tail adds
+    exactly 0: y0 (1, 0, ..., 0) gives 1 wherever x is finite.
+
+    The library's one check on T: a partial sum that overflows makes T not
+    finite, which raises ``OverflowError`` (``Taylor polynomial T is not
+    finite``), so the solvers, ``existence_box``, the residuals and
+    ``gfd_caputo`` all refuse it with the same text.  Each calls it under
+    ``np.errstate``, so numpy does not warn of the overflow first; a direct
+    caller can do the same.
     """
     x = np.asarray(x, dtype=float)
     acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k, ck in enumerate(y0):
-        acc = acc + ck * term
-        term = term * x / (k + 1.0)
+    for k in reversed(range(len(y0))):
+        acc = y0[k] + acc * x / (k + 1.0)
     if not np.all(np.isfinite(acc)):
         raise OverflowError("Taylor polynomial T is not finite")
     return acc if acc.ndim else float(acc)

@@ -33,6 +33,7 @@ from .fracops import (
     _REFERENCE_TOL,
     _finite_result,
     _gamma,
+    _initial_values,
     _s_from_x,
     build_weights,
     gfi_reference,
@@ -222,7 +223,12 @@ def make_rhs(name: str, params: dict | None = None) -> RightHandSide:
 
 @dataclass(frozen=True)
 class IVProblem:
-    """Caputo-type initial value problem on [0, h_star] with box half-width K."""
+    """Caputo-type initial value problem on [0, h_star] with box half-width K.
+
+    ``y0[k]`` is the k-th derivative of y at 0, k = 0..ceil(alpha)-1,
+    checked by the rule ``gfd_caputo`` applies to its ``init``: entries
+    that are not finite, or not ceil(alpha) of them, raise ``ValueError``.
+    """
 
     alpha: float
     rho: float
@@ -234,16 +240,9 @@ class IVProblem:
     def __post_init__(self):
         _check_finite("alpha", self.alpha)
         _check_finite("rho", self.rho)
-        y0 = tuple(float(v) for v in self.y0)
-        if not all(math.isfinite(v) for v in y0):
-            raise ValueError("y0 entries must be finite")
-        if len(y0) != self.m:
-            raise ValueError(
-                f"y0 must have ceil(alpha) = {self.m} entries, got {len(y0)}"
-            )
+        object.__setattr__(self, "y0", _initial_values("y0", self.y0, self.alpha))
         _check_finite("h_star", self.h_star)
         _check_finite("K", self.K)
-        object.__setattr__(self, "y0", y0)
 
     @property
     def m(self) -> int:

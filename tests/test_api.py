@@ -149,6 +149,29 @@ def test_nonstrict_check_accepts_zero(call):
 
 
 # ---------------------------------------------------------------------------
+# initial-derivative checks: one rule for IVProblem's y0 and gfd_caputo's init
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,call", [
+    ("y0", lambda alpha, v: _ivp(alpha=alpha, y0=v)),
+    ("init", lambda alpha, v: gfd_caputo(SampledFunction(GRID, np.ones(GRID.n_nodes)),
+                                         alpha, v)),
+], ids=["IVProblem", "gfd_caputo"])
+@pytest.mark.parametrize("alpha,values,message", [
+    (0.5, [math.nan], "{} must be finite, got (nan,)"),
+    (1.5, [1.0, -math.inf], "{} must be finite, got (1.0, -inf)"),
+    (0.5, [1.0, 0.0], "{} must have ceil(alpha) = 1 entries, got 2"),
+    (1.5, [1.0], "{} must have ceil(alpha) = 2 entries, got 1"),
+    # finiteness is checked before the count
+    (0.5, [1.0, math.inf], "{} must be finite, got (1.0, inf)"),
+], ids=["nan", "-inf", "too-many", "too-few", "inf-and-too-many"])
+def test_initial_values_message(name, call, alpha, values, message):
+    with pytest.raises(ValueError) as info:
+        call(alpha, values)
+    assert str(info.value) == message.format(name)
+
+
+# ---------------------------------------------------------------------------
 # integer-count checks
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from gfcalc import ComputationError, fracops, solver
 from gfcalc.cli import main, read_xy_csv
 from gfcalc.fracops import RefinementError
 from gfcalc.solver import SolverConfig, solve_picard
+from gfcalc.specialfn import stirling_table
 from gfcalc.problemfile import load_problem
 
 LIN_PROB = """\
@@ -95,6 +97,23 @@ def test_stirling_zero_rows(capsys):
     code, out, _ = run(capsys, ["stirling", "1", "1", "0"])
     assert code == 0
     assert out == "1\n"
+
+
+def test_stirling_prints_every_row_past_the_int_digit_limit(capsys):
+    # entries of stirling 4 4 120 reach 799 digits, past a limit of 640
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, ["stirling", "4", "4", "120"])
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    rows = [[int(v) for v in line.split()] for line in out.splitlines()]
+    assert rows == [list(row) for row in stirling_table(4, 4, 120).rows]
+    assert len(rows) == 121
 
 
 def test_stirling_bad_args(capsys):

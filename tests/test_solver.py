@@ -10,6 +10,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,23 @@ def test_taylor_two_terms():
 def test_taylor_pins_initial_value():
     for y0 in ((4.0,), (1.0, 2.0), (0.3, -1.0, 2.5)):
         assert taylor_poly(y0, 0.0) == y0[0]
+
+
+def test_taylor_zero_tail_adds_exactly_zero():
+    # x**k / k! overflows from k 67 at x 1e6, but under Horner's
+    # rule a zero tail is 0 at every partial sum, so T is exactly 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert taylor_poly((1.0,) + (0.0,) * 149, 1e6) == 1.0
+
+
+def test_taylor_tiny_coefficient_under_an_overflowing_power():
+    # x**3 = 1e360 is past the double range, but T = 1e-300 x**3 / 6 is not
+    want = float(Fraction(1e-300) * Fraction(1e120) ** 3 / 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = taylor_poly((0.0, 0.0, 0.0, 1e-300), 1e120)
+    assert abs(got - want) <= math.ulp(want)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +196,31 @@ def test_overflowing_taylor_polynomial_is_refused_quietly(call, message):
         assert not np.all(np.isfinite(weights.band))
         with pytest.raises(OverflowError, match=message):
             call(p, SampledFunction(grid, np.ones(129)), weights)
+
+
+# alpha 149.5, y0 (1, 0, ..., 0) on [0, 1e6]: T is exactly 1, though the
+# powers x**k / k! and the order-149.5 weights overflow
+def _unit_taylor_problem():
+    return problem(alpha=149.5, y0=(1.0,) + (0.0,) * 149, name="zero", h_star=1e6)
+
+
+def test_unit_taylor_polynomial_under_overflowing_powers_is_solved():
+    config = SolverConfig(n_nodes=129)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        picard, _ = solve_picard(_unit_taylor_problem(), config)
+        marching = solve_marching(_unit_taylor_problem(), config)
+    assert np.array_equal(picard.values, np.ones(129))
+    assert np.array_equal(marching.values, np.ones(129))
+
+
+def test_caputo_of_the_unit_taylor_polynomial_is_zero():
+    p = _unit_taylor_problem()
+    f = SampledFunction(make_grid(0.0, p.h_star, 1.0, 257), np.ones(257))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gfd_caputo(f, p.alpha, p.y0)
+    assert np.array_equal(got.values, np.zeros(257))
 
 
 def test_existence_box_refuses_an_overflowing_lattice_quietly():
@@ -1200,6 +1243,10 @@ def _omega_1(p: IVProblem, h: float) -> float:
 @example(case=(problem(0.6, 0.6, (0.5,), "sin", {"c": 1.0}, 1.0, 1.0), 257), z=-1.0)
 # T overflows, with the bounded sin: taylor_poly refuses it everywhere
 @example(case=(problem(149.5, 1.0, (1.0,) * 150, "sin", {"c": 1.0}, 1e6, 1.0), 129), z=1.0)
+# powers x**k / k! past the double range under a zero tail: T is 1, and
+# omega_1 is 0, so the two solvers must agree
+@example(case=(problem(149.5, 1.0, (1.0,) + (0.0,) * 149, "zero", {}, 1e6, 1.0), 129),
+         z=1.0)
 # weights past the double range on a zero rhs: both solvers return T
 @example(case=(problem(43.0, 1.0, (1.0,) + (0.0,) * 42, "zero", {}, 3e8, 1.0), 5), z=1.0)
 # omega_1 above 1/2, where both return but need not agree: at n 2 the node

@@ -13,10 +13,12 @@ no command in the matrix is meant to do either.
 CLI: ``python -m gfcalc`` solve, study, operator integral|deriv|caputo, ml
 and stirling on fixed inputs, each in its own process with its own hash
 seed, hashed over its exit code, stdout, stderr and output file.  The inputs
-are a problem file for every rhs at an order below 1 and one between 1 and
-2, with rho cycling through 0.5, 1 and 2, one with y0 1e7, whose Picard
-stop needs the tol scaled with the solution, three at the ends of the
-solver's range (y0 1e307, and alpha 149.5 with an overflowing Taylor
+are a problem file for every rhs at orders 0.6, 1.4 and 2.5, whose y0 is
+the first ceil(alpha) entries of (0.5, -0.25, 0.125), with rho cycling
+through 0.5, 1 and 2 (the order-2.5 files, added last, run after every
+other command, so each earlier label keeps its input), one with y0 1e7,
+whose Picard stop needs the tol scaled with the solution, three at the ends
+of the solver's range (y0 1e307, and alpha 149.5 with an overflowing Taylor
 polynomial, once with the zero rhs and once with the bounded sin), and CSVs
 on 257 nodes: sin(3x), seeded standard-normal noise, that noise times
 1e-290, seeded signs times 1e300, and noise spread over e^-20..e^20 (by
@@ -30,10 +32,11 @@ built without numpy ufuncs.  ``operator integral short.csv alpha 40`` sums
 on [0, 1e-8], where every weight underflows to 0.  The ml cases include two
 negative arguments whose series cancel past its accuracy target.
 
-Library: 144 problems (six right-hand sides x alpha 0.4, 0.8, 1.3, 1.9 x
-rho 0.5, 1, 2 x n 33, 257; y0 0.5, or (0.5, -0.25) above order 1; h_star 1,
-K 1, tol 1e-12), each hashed over the Picard values and deltas, the
-marching values, ``picard_apply`` of the Picard solution,
+Library: 180 problems (six right-hand sides x alpha 0.4, 0.8, 1.3, 1.9,
+2.5 x rho 0.5, 1, 2 x n 33, 257; y0 the first ceil(alpha) entries of
+(0.5, -0.25, 0.125), so order 2.5 pins a Taylor polynomial of degree 2;
+h_star 1, K 1, tol 1e-12), each hashed over the Picard values and deltas,
+the marching values, ``picard_apply`` of the Picard solution,
 ``volterra_residual`` and ``oracle_residual``, and the type and text of
 every refusal instead of a value.
 
@@ -55,14 +58,16 @@ import numpy as np
 
 CLI_RHS = {"zero": {}, "linear": {"lambda": -1.0}, "power_forcing": {"beta": 1.5, "c": 0.3},
            "sin": {"c": 1.0}, "logistic": {"lambda": 0.5}}
-CLI_ORDERS = {0.6: "[0.5]", 1.4: "[0.5, -0.25]"}     # alpha: y0, ceil(alpha) entries
+Y0 = (0.5, -0.25, 0.125)      # order alpha takes the first ceil(alpha) entries as y0
+CLI_ALPHAS = (0.6, 1.4)
+CLI_ALPHAS_LATE = (2.5,)      # their commands come after every other command
 CLI_RHOS = (0.5, 1.0, 2.0)
 CSV_NODES = 257
 
 LIB_RHS = (("zero", {}), ("linear", {"lambda": -1.0}), ("linear", {"lambda": 3.0}),
            ("power_forcing", {"beta": 1.5, "c": 0.3}), ("sin", {"c": 1.0}),
            ("logistic", {"lambda": 0.5}))
-LIB_ALPHAS = (0.4, 0.8, 1.3, 1.9)
+LIB_ALPHAS = (0.4, 0.8, 1.3, 1.9, 2.5)
 LIB_RHOS = (0.5, 1.0, 2.0)
 LIB_NODES = (33, 257)
 
@@ -77,7 +82,7 @@ def digest(parts) -> str:
 
 def problem_text(rhs: str, alpha: float, rho: float) -> str:
     lines = [f"problem.alpha = {alpha}", f"problem.rho = {rho}",
-             f"problem.y0 = {CLI_ORDERS[alpha]}", f"problem.rhs = {rhs}"]
+             f"problem.y0 = {list(Y0[:math.ceil(alpha)])}", f"problem.rhs = {rhs}"]
     lines += [f"problem.rhs.{name} = {value}" for name, value in CLI_RHS[rhs].items()]
     lines += ["problem.h_star = 1.0", "problem.K = 1.0",
               "solver.n_nodes = 129", "solver.tol = 1e-12"]
@@ -92,13 +97,16 @@ def write_csv(path: Path, x: np.ndarray, f: np.ndarray) -> None:
 def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
     """Write the CLI inputs into ``work`` and return (label, argv) per
     command, argv relative to ``work``."""
-    commands = []
-    for i, (rhs, alpha) in enumerate((r, a) for r in CLI_RHS for a in CLI_ORDERS):
+    commands, late = [], []
+    solved = ([(r, a) for r in CLI_RHS for a in CLI_ALPHAS]
+              + [(r, a) for a in CLI_ALPHAS_LATE for r in CLI_RHS])
+    for i, (rhs, alpha) in enumerate(solved):
         name = f"{rhs}-{alpha}.prob"
         (work / name).write_text(problem_text(rhs, alpha, CLI_RHOS[i % len(CLI_RHOS)]),
                                  encoding="utf-8")
-        commands.append((f"solve {name}", ["solve", name, "-o", "out.csv"]))
-        commands.append((f"study {name}", ["study", name, "--resolutions", "33,65"]))
+        (late if alpha in CLI_ALPHAS_LATE else commands).extend([
+            (f"solve {name}", ["solve", name, "-o", "out.csv"]),
+            (f"study {name}", ["study", name, "--resolutions", "33,65"])])
     (work / "missing.prob").write_text(problem_text("linear", 0.6, 1.0).replace(
         "problem.K = 1.0\n", ""), encoding="utf-8")
     commands.append(("solve missing.prob", ["solve", "missing.prob", "-o", "out.csv"]))
@@ -175,7 +183,7 @@ def write_inputs(work: Path) -> list[tuple[str, list[str]]]:
         commands.append((f"ml {alpha} {z}", ["ml", alpha, z]))
     for args in (("1", "1", "4"), ("2", "3", "6")):
         commands.append((f"stirling {' '.join(args)}", ["stirling", *args]))
-    return commands
+    return commands + late
 
 
 def run_cli(src: Path) -> list[str]:
@@ -214,7 +222,7 @@ def outcome(call) -> bytes:
 
 def case_digest(solver, rhs: str, params: dict, alpha: float, rho: float, n: int) -> str:
     problem = solver.IVProblem(alpha=alpha, rho=rho,
-                               y0=(0.5,) if alpha < 1.0 else (0.5, -0.25),
+                               y0=Y0[:math.ceil(alpha)],
                                rhs=solver.make_rhs(rhs, params), h_star=1.0, K=1.0)
     config = solver.SolverConfig(n_nodes=n, tol=1e-12)
     parts = []
